@@ -1,8 +1,6 @@
-"""Small dense exact linear algebra over Q (leftmost-pivot RREF)."""
+"""Small exact linear algebra over Q: leftmost-pivot RREF and a certified rank."""
 
 from __future__ import annotations
-
-from typing import Sequence
 
 from .polyring import QQ
 
@@ -41,10 +39,6 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
         reduced.insert(at, row)
         pivots.insert(at, lead)
     return reduced, pivots
-
-
-def rank(rows: Matrix) -> int:
-    return len(rref(rows)[1])
 
 
 def kernel_basis(rows: Matrix, ncols: int) -> Matrix:
@@ -99,5 +93,49 @@ def solve_in_span(
     return out
 
 
-def matrix_vector(rows: Matrix, vec: Sequence) -> Vector:
-    return [sum((r[j] * vec[j] for j in range(len(vec))), _ZERO) for r in rows]
+# The word-size prime of the rank certificate (Dumas, Giorgi & Pernet 2008).
+_P = 2**31 - 1
+
+
+def dependent_rows(rows: Matrix) -> list[int]:
+    """Positions of the rows that lie in the span of the rows before them.
+
+    Exact; the rank is len(rows) minus their number.  The rows are first
+    eliminated modulo _P.  When no denominator is divisible by _P, that is
+    a ring map, so rank mod _P <= rank over Q: rows independent mod _P are
+    independent over Q.  Otherwise the rows are eliminated again over Q.
+    """
+    try:
+        residues = [
+            [int(x.numerator) * pow(int(x.denominator), -1, _P) % _P for x in row]
+            for row in rows
+        ]
+    except ValueError:  # a denominator divisible by _P has no inverse mod _P
+        residues = None
+    if residues is not None and not _eliminate(residues, _P):
+        return []
+    return _eliminate([list(row) for row in rows], 0)
+
+
+def _eliminate(rows: Matrix, p: int) -> list[int]:
+    """Leftmost-pivot elimination in place; positions of the dependent rows.
+
+    Over Q when p is 0, else over F_p on rows of ints, which are reduced
+    mod p only where a value is read.  Pivot rows are kept sparse.
+    """
+    reduce = (lambda v: v % p) if p else (lambda v: v)
+    pivots: list[tuple[int, list]] = []
+    dependent: list[int] = []
+    for pos, row in enumerate(rows):
+        for pcol, prow in pivots:
+            c = reduce(row[pcol])
+            if c:
+                for j, v in prow:
+                    row[j] -= c * v
+        lead = next((j for j, v in enumerate(row) if reduce(v)), None)
+        if lead is None:
+            dependent.append(pos)
+            continue
+        inv = pow(row[lead], -1, p) if p else _ONE / row[lead]
+        pivots.append((lead, [(j, reduce(v * inv)) for j, v in enumerate(row) if reduce(v)]))
+    return dependent

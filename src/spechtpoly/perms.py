@@ -22,47 +22,18 @@ def compose(a: Perm, b: Perm) -> Perm:
     return tuple(a[x] for x in b)
 
 
-def inverse(a: Perm) -> Perm:
-    out = [0] * len(a)
-    for i, ai in enumerate(a):
-        out[ai] = i
-    return tuple(out)
-
-
-def transposition(i: int, j: int, n: int) -> Perm:
-    out = list(range(n))
-    out[i], out[j] = out[j], out[i]
-    return tuple(out)
-
-
-def _cycle_lengths(a: Perm) -> list[int]:
-    seen = [False] * len(a)
-    lengths = []
-    for start in range(len(a)):
-        if seen[start]:
-            continue
-        size = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = a[j]
-            size += 1
-        lengths.append(size)
-    return lengths
-
-
 def sign(a: Perm) -> int:
-    """Sign of the permutation: (-1)^(number of even-length cycles)."""
-    s = 1
-    for size in _cycle_lengths(a):
-        if size % 2 == 0:
-            s = -s
-    return s
-
-
-def cycle_type(a: Perm) -> tuple[int, ...]:
-    """Cycle lengths sorted decreasingly: a partition of len(a)."""
-    return tuple(sorted(_cycle_lengths(a), reverse=True))
+    """Sign of the permutation: (-1)^(n - number of cycles)."""
+    seen = [False] * len(a)
+    cycles = 0
+    for start in range(len(a)):
+        if not seen[start]:
+            cycles += 1
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = a[j]
+    return -1 if (len(a) - cycles) % 2 else 1
 
 
 def from_cycle_type(rho: Iterable[int], n: int) -> Perm:

@@ -14,9 +14,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from ._linalg import kernel_basis, solve_in_span
+from ._linalg import dependent_rows, kernel_basis, solve_in_span
 from .polyring import Exponent, Poly, QQ, elementary, extend_variables, monomials_of_degree
 from .specht import BasisElement, _s_sort_key, build_basis_family
 from .tableaux import (
@@ -357,6 +357,8 @@ class GradedQuotient:
         """Coordinates of a homogeneous degree-d polynomial over the free set."""
         if poly.nvars != self.nvars:
             raise ValueError("polynomial has the wrong number of variables")
+        if d < 0:
+            raise ValueError("degree must be nonnegative")
         if d >= len(self._by_degree):
             for exp in poly.terms:
                 if sum(exp) != d:
@@ -408,8 +410,10 @@ def graded_quotient(spec: IdealSpec) -> GradedQuotient:
 
 def degree_slice(quotient: GradedQuotient, d: int) -> tuple[int, Callable[[Poly], Poly]]:
     """(rank of the ideal slice, projector onto the quotient normal form)."""
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
     n = quotient.nvars
-    total = comb(n + d - 1, n - 1) if d >= 0 else 0
+    total = comb(n + d - 1, n - 1)
     hilb = quotient.hilbert[d] if d < len(quotient.hilbert) else 0
     rank = total - hilb
 
@@ -434,9 +438,10 @@ def verify_basis(
     """Check that a graded family is a basis of the quotient.
 
     Per degree: the element count must match the Hilbert function and the
-    projections must be linearly independent.  The report records, per
-    degree, the expected dimension, the element count and the achieved
-    rank; the first failure is pinpointed with its element label.
+    projections must be linearly independent, as certified by
+    ``dependent_rows``.  The report records, per degree, the expected
+    dimension, the element count and the achieved rank; the first failure
+    is pinpointed with its element label.
     """
     by_degree: dict[int, list[tuple[int, BasisElement]]] = {}
     for idx, be in enumerate(family):
@@ -449,30 +454,11 @@ def verify_basis(
     for d in degrees:
         expected = hilb[d] if d < len(hilb) else 0
         elems = by_degree.get(d, [])
-        rank = 0
-        pivot_rows: list[tuple[int, list]] = []
-        for idx, be in elems:
-            vec = quotient.coords(be.poly, d)
-            for pcol, prow in pivot_rows:
-                c = vec[pcol]
-                if c:
-                    for j in range(pcol, len(vec)):
-                        vec[j] = vec[j] - c * prow[j]
-            lead = next((j for j, v in enumerate(vec) if v), None)
-            if lead is None:
-                failures.append(
-                    {
-                        "kind": "dependent",
-                        "d": d,
-                        "position": idx,
-                        "label": be.label(),
-                    }
-                )
-                verdict = False
-                continue
-            inv = _ONE / vec[lead]
-            pivot_rows.append((lead, [v * inv for v in vec]))
-            rank += 1
+        dependent = dependent_rows([quotient.coords(be.poly, d) for _, be in elems])
+        for idx, be in (elems[pos] for pos in dependent):
+            failures.append({"kind": "dependent", "d": d, "position": idx, "label": be.label()})
+            verdict = False
+        rank = len(elems) - len(dependent)
         ok = len(elems) == expected and rank == expected
         if len(elems) != expected:
             failures.append(
@@ -575,6 +561,8 @@ def transition_matrix(
     """
     if normalize not in ("raw", "primitive"):
         raise ValueError("normalize must be 'raw' or 'primitive'")
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
     mu = check_partition(mu)
     n = sum(mu)
     rows = [be for be in build_basis_family("Bmu", mu=mu) if be.degree == d]

@@ -7,7 +7,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Sequence
 
-from ._linalg import rref
+from ._linalg import dependent_rows
 from .perms import conjugacy_class_size, from_cycle_type
 from .polyring import QQ
 from .quotient import GradedQuotient
@@ -332,7 +332,7 @@ def irreducible_block_check(s: Tableau, quotient: GradedQuotient) -> dict:
     stds = standard_tableaux(shape)
     d = cocharge(reading_word(s))
     vecs = [quotient.coords(higher_specht(s, t), d) for t in stds]
-    dim = len(rref(vecs)[1])
+    dim = len(vecs) - len(dependent_rows(vecs))
     expected_dim = standard_count(shape)
     ct = character_table(n)
     char_values = []

@@ -183,13 +183,6 @@ class Tableau:
     def is_standard(self) -> bool:
         return self.is_bijective() and self.is_semistandard()
 
-    def cell_of(self, value: int) -> tuple[int, int]:
-        for r, row in enumerate(self.rows):
-            for c, e in enumerate(row):
-                if e == value:
-                    return (r, c)
-        raise ValueError(f"value {value} not in tableau")
-
     def position_map(self) -> dict[int, tuple[int, int]]:
         """entry -> (row, col); requires a bijective filling."""
         if not self.is_bijective():

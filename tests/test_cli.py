@@ -203,6 +203,14 @@ def test_transition_csv_requires_output(capsys):
     assert "requires --output" in captured.err
 
 
+def test_transition_negative_degree_is_usage_error(capsys):
+    code = main(["transition", "--mu", "2,1", "--d", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "nonnegative" in captured.err
+
+
 def test_transition_empty_degree_slice(capsys):
     # a degree past the top of the quotient gives the 0x0 matrix, which is
     # trivially in almost-lower-triangular form

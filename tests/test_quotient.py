@@ -198,6 +198,8 @@ def test_coords_and_reduce_monomial():
         q.coords(x3, 2)  # not homogeneous of that degree
     with pytest.raises(ValueError):
         q.coords(Poly.variable(1, 2), 1)  # wrong variable count
+    with pytest.raises(ValueError):
+        q.coords(Poly.zero(3), -1)  # would index from the top degree
 
 
 def test_degree_slice():
@@ -208,6 +210,8 @@ def test_degree_slice():
     assert projector(x1 + x2 + x3).is_zero
     with pytest.raises(ValueError):
         projector(x1 * x1)
+    with pytest.raises(ValueError):
+        degree_slice(q, -1)
 
 
 def test_verify_basis_accepts_bn():
@@ -303,6 +307,8 @@ def test_transition_validation():
         transition_matrix((2, 1), 0, "reduced")
     with pytest.raises(ValueError):
         transition_matrix((1, 2), 0)
+    with pytest.raises(ValueError):
+        transition_matrix((2, 1), -1)
 
 
 def test_almost_lower_triangular():
