@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd, lcm
 from typing import Callable, Sequence
 
 from ._linalg import dependent_rows, kernel_basis, solve_in_span
 from .polyring import Exponent, Poly, QQ, elementary, extend_variables, monomials_of_degree
-from .specht import BasisElement, _s_sort_key, build_basis_family
+from .specht import BasisElement, _no_extra, _s_sort_key, build_basis_family
 from .tableaux import (
     Partition,
     check_partition,
@@ -28,7 +28,6 @@ from .tableaux import (
 )
 
 _ZERO = QQ(0)
-_ONE = QQ(1)
 
 
 # -- ideal construction ------------------------------------------------------
@@ -126,11 +125,6 @@ def build_ideal(family: str, **params) -> IdealSpec:
     return IdealSpec(n, tuple(gens), cap, family, meta)
 
 
-def _no_extra(params: dict) -> None:
-    if params:
-        raise TypeError(f"unexpected parameters: {sorted(params)}")
-
-
 # -- the graded quotient engine ----------------------------------------------
 
 
@@ -154,6 +148,19 @@ class _DegreeData:
     free: list[Exponent]
     free_index: dict[Exponent, int]
     red: dict[Exponent, dict[int, object]]  # every monomial -> {free slot: coeff}
+    integral: bool = True  # every coefficient in red is an int
+
+
+def _exact_quotient(num: int, den: int):
+    """num/den as an int when it divides, else as a QQ."""
+    q, r = divmod(num, den)
+    return QQ(num, den) if r else q
+
+
+def _integral(row: dict) -> dict:
+    """row times the lcm of its denominators, as ints: the same relation over Q."""
+    scale = lcm(*(int(v.denominator) for v in row.values()))
+    return {key: int(v * scale) for key, v in row.items()}
 
 
 class GradedQuotient:
@@ -162,7 +169,7 @@ class GradedQuotient:
     def __init__(self, spec: IdealSpec):
         self.spec = spec
         self.nvars = spec.nvars
-        self._gens_by_degree: dict[int, list[Poly]] = {}
+        self._gens_by_degree: dict[int, list[dict[Exponent, int]]] = {}
         for g in spec.generators:
             if g.is_zero:
                 continue
@@ -171,7 +178,7 @@ class GradedQuotient:
             d = g.degree()
             if d == 0:
                 raise ValueError("a nonzero constant generator makes the quotient zero")
-            self._gens_by_degree.setdefault(d, []).append(g)
+            self._gens_by_degree.setdefault(d, []).append(_integral(g.terms))
         self._by_degree: list[_DegreeData] = []
         self._build()
 
@@ -180,9 +187,7 @@ class GradedQuotient:
     def _build(self) -> None:
         n = self.nvars
         unit: Exponent = (0,) * n
-        self._by_degree.append(
-            _DegreeData([unit], {unit: 0}, {unit: {0: _ONE}})
-        )
+        self._by_degree.append(_DegreeData([unit], {unit: 0}, {unit: {0: 1}}))
         for d in range(1, self.spec.degree_cap + 1):
             data = self._build_degree(d)
             if not data.free:
@@ -193,6 +198,17 @@ class GradedQuotient:
         )
 
     def _build_degree(self, d: int) -> _DegreeData:
+        """Fraction-free elimination of the degree-d relations over V-coordinates.
+
+        Rows are integer vectors; a row built from a previous degree whose
+        table holds a QQ has its denominators cleared first.  A pivot row is
+        kept as a positive integer ``lead`` at its pivot column plus a tail
+        over the non-pivot columns, with the content of the whole row
+        divided out; it is reduced (no pivot column appears in any tail), so
+        the table entries ``-tail / lead`` are the reduced row echelon form
+        over Q.  A row is eliminated by cross-multiplying with gcd cofactors
+        instead of dividing by the pivot (Bareiss 1968).
+        """
         n = self.nvars
         prev = self._by_degree[d - 1]
         vset: set[Exponent] = set()
@@ -205,10 +221,13 @@ class GradedQuotient:
             [vindex[_bump(f, i)] for f in prev.free] for i in range(n)
         ]
 
-        pivot_tail: dict[int, dict[int, object]] = {}
+        pivot_lead: dict[int, int] = {}
+        pivot_tail: dict[int, dict[int, int]] = {}
         owners: dict[int, set[int]] = {}
 
         def insert_row(acc: dict[int, object]) -> None:
+            if not prev.integral:
+                acc = _integral(acc)
             for c in sorted(acc):
                 coeff = acc.get(c)
                 if not coeff:
@@ -217,8 +236,16 @@ class GradedQuotient:
                 if tail is None:
                     continue
                 del acc[c]
+                lead = pivot_lead[c]
+                if lead != 1:
+                    g = gcd(coeff, lead)
+                    scale = lead // g
+                    coeff //= g
+                    if scale != 1:
+                        for col in acc:
+                            acc[col] *= scale
                 for col, v in tail.items():
-                    nv = acc.get(col, _ZERO) - coeff * v
+                    nv = acc.get(col, 0) - coeff * v
                     if nv:
                         acc[col] = nv
                     else:
@@ -227,15 +254,30 @@ class GradedQuotient:
                 return
             p = min(acc)
             lead = acc.pop(p)
-            inv = _ONE / lead
-            tail = {c: v * inv for c, v in acc.items()}
+            g = gcd(lead, *acc.values())
+            if lead < 0:
+                g = -g  # a positive lead keeps the cofactor scale at 1 for unit pivots
+            if g != 1:
+                lead //= g
+                for c in acc:
+                    acc[c] //= g
+            tail = acc
             for q in list(owners.get(p, ())):
                 qtail = pivot_tail[q]
                 coeff = qtail.pop(p)
                 owners[p].discard(q)
+                qlead = pivot_lead[q]
+                if lead != 1:
+                    g = gcd(coeff, lead)
+                    scale = lead // g
+                    coeff //= g
+                    if scale != 1:
+                        qlead *= scale
+                        for c in qtail:
+                            qtail[c] *= scale
                 for c, v in tail.items():
                     cur = qtail.get(c)
-                    nv = (_ZERO if cur is None else cur) - coeff * v
+                    nv = (0 if cur is None else cur) - coeff * v
                     if nv:
                         if cur is None:
                             owners.setdefault(c, set()).add(q)
@@ -243,6 +285,13 @@ class GradedQuotient:
                     elif cur is not None:
                         del qtail[c]
                         owners[c].discard(q)
+                g = gcd(qlead, *qtail.values())
+                if g != 1:
+                    qlead //= g
+                    for c in qtail:
+                        qtail[c] //= g
+                pivot_lead[q] = qlead
+            pivot_lead[p] = lead
             pivot_tail[p] = tail
             for c in tail:
                 owners.setdefault(c, set()).add(p)
@@ -250,7 +299,7 @@ class GradedQuotient:
         def route(acc: dict[int, object], m: Exponent, coeff) -> None:
             pos = vindex.get(m)
             if pos is not None:
-                nv = acc.get(pos, _ZERO) + coeff
+                nv = acc.get(pos, 0) + coeff
                 if nv:
                     acc[pos] = nv
                 else:
@@ -260,15 +309,15 @@ class GradedQuotient:
             cols = shift_col[i]
             for slot, c in prev.red[_drop(m, i)].items():
                 col = cols[slot]
-                nv = acc.get(col, _ZERO) + coeff * c
+                nv = acc.get(col, 0) + coeff * c
                 if nv:
                     acc[col] = nv
                 else:
                     del acc[col]
 
-        for g in self._gens_by_degree.get(d, []):
+        for terms in self._gens_by_degree.get(d, []):
             acc: dict[int, object] = {}
-            for exp, coeff in g.terms.items():
+            for exp, coeff in terms.items():
                 route(acc, exp, coeff)
             insert_row(acc)
 
@@ -285,13 +334,13 @@ class GradedQuotient:
                     continue  # reduction of up is literally the shifted redm
                 acc = {}
                 if pos is not None:
-                    acc[pos] = _ONE
+                    acc[pos] = 1
                 else:
-                    route(acc, up, _ONE)
+                    route(acc, up, 1)
                 cols = shift_col[i]
                 for slot, c in redm.items():
                     col = cols[slot]
-                    nv = acc.get(col, _ZERO) - c
+                    nv = acc.get(col, 0) - c
                     if nv:
                         acc[col] = nv
                     else:
@@ -307,9 +356,10 @@ class GradedQuotient:
         for pos, m in enumerate(vlist):
             tail = pivot_tail.get(pos)
             if tail is None:
-                red[m] = {slot_of_pos[pos]: _ONE}
+                red[m] = {slot_of_pos[pos]: 1}
             else:
-                red[m] = {slot_of_pos[c]: -v for c, v in tail.items()}
+                lead = pivot_lead[pos]
+                red[m] = {slot_of_pos[c]: _exact_quotient(-v, lead) for c, v in tail.items()}
         if free:
             for m in monomials_of_degree(n, d):
                 if m in red:
@@ -319,13 +369,14 @@ class GradedQuotient:
                 acc_slots: dict[int, object] = {}
                 for slot, c in prev.red[low].items():
                     for s2, c2 in red[_bump(prev.free[slot], i)].items():
-                        nv = acc_slots.get(s2, _ZERO) + c * c2
+                        nv = acc_slots.get(s2, 0) + c * c2
                         if nv:
                             acc_slots[s2] = nv
                         else:
                             del acc_slots[s2]
                 red[m] = acc_slots
-        return _DegreeData(free, free_index, red)
+        integral = all(type(v) is int for row in red.values() for v in row.values())
+        return _DegreeData(free, free_index, red, integral)
 
     # -- inspection ----------------------------------------------------------
 
@@ -592,8 +643,6 @@ def transition_matrix(
 
 
 def _primitive_vector(vec: list) -> list:
-    from math import gcd
-
     num = 0
     den = 1
     for v in vec:

@@ -4,6 +4,12 @@ import os
 import random
 
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run, and no example fails
+# for being slow on a busy machine.
+settings.register_profile("spechtpoly", derandomize=True, deadline=None)
+settings.load_profile("spechtpoly")
 
 
 @pytest.fixture

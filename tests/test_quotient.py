@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spechtpoly.polyring import QQ, Poly, elementary, monomials_of_degree
 from spechtpoly.quotient import (
@@ -30,6 +33,45 @@ def multinomial(mu):
     return out
 
 
+def _dense_row(poly: Poly, monos) -> list[Fraction]:
+    row = []
+    for mm in monos:
+        c = poly.terms.get(mm)
+        row.append(
+            Fraction(0) if c is None else Fraction(int(c.numerator), int(c.denominator))
+        )
+    return row
+
+
+def _ideal_slice_rows(spec: IdealSpec, d: int, monos) -> list[list[Fraction]]:
+    """Dense rows of every monomial multiple of a generator in degree d."""
+    rows = []
+    for g in spec.generators:
+        gd = g.degree()
+        if gd > d:
+            continue
+        for m in monomials_of_degree(spec.nvars, d - gd):
+            rows.append(_dense_row(Poly.monomial(m, 1) * g, monos))
+    return rows
+
+
+def _dense_rank(rows: list[list[Fraction]]) -> int:
+    rank = 0
+    pivots: list[tuple[int, list[Fraction]]] = []
+    for row in rows:
+        for pcol, prow in pivots:
+            if row[pcol]:
+                f = row[pcol]
+                row = [a - f * b for a, b in zip(row, prow)]
+        lead = next((j for j, v in enumerate(row) if v), None)
+        if lead is None:
+            continue
+        inv = 1 / row[lead]
+        pivots.append((lead, [v * inv for v in row]))
+        rank += 1
+    return rank
+
+
 def brute_hilbert(spec: IdealSpec) -> list[int]:
     """Hilbert function by dense row reduction over Fraction.
 
@@ -42,36 +84,7 @@ def brute_hilbert(spec: IdealSpec) -> list[int]:
     d = 0
     while True:
         monos = monomials_of_degree(n, d)
-        rows = []
-        for g in spec.generators:
-            gd = g.degree()
-            if gd > d:
-                continue
-            for m in monomials_of_degree(n, d - gd):
-                prod = Poly.monomial(m, 1) * g
-                row = []
-                for mm in monos:
-                    c = prod.terms.get(mm)
-                    row.append(
-                        Fraction(0)
-                        if c is None
-                        else Fraction(int(c.numerator), int(c.denominator))
-                    )
-                rows.append(row)
-        rank = 0
-        pivots: list[tuple[int, list[Fraction]]] = []
-        for row in rows:
-            for pcol, prow in pivots:
-                if row[pcol]:
-                    f = row[pcol]
-                    row = [a - f * b for a, b in zip(row, prow)]
-            lead = next((j for j, v in enumerate(row) if v), None)
-            if lead is None:
-                continue
-            inv = 1 / row[lead]
-            pivots.append((lead, [v * inv for v in row]))
-            rank += 1
-        dim = len(monos) - rank
+        dim = len(monos) - _dense_rank(_ideal_slice_rows(spec, d, monos))
         if dim == 0:
             return out
         out.append(dim)
@@ -323,3 +336,136 @@ def test_almost_lower_triangular():
     assert witness[1][0] == 0
     with pytest.raises(ValueError):
         almost_lower_triangular([[one, zero]])
+
+
+# -- the integer builder: rational fallback, integrality and oracles ----------
+
+
+def brute_in_ideal(spec: IdealSpec, poly: Poly, d: int) -> bool:
+    """Whether a homogeneous degree-d polynomial lies in the ideal, by dense rank."""
+    monos = monomials_of_degree(spec.nvars, d)
+    rows = _ideal_slice_rows(spec, d, monos)
+    return _dense_rank(rows + [_dense_row(poly, monos)]) == _dense_rank(rows)
+
+
+def _check_against_dense(spec: IdealSpec) -> GradedQuotient:
+    q = GradedQuotient(spec)
+    assert list(q.hilbert) == brute_hilbert(spec)
+    n = spec.nvars
+    for g in spec.generators:
+        for e in range(q.max_degree + 2 - g.degree()):
+            for m in monomials_of_degree(n, e):
+                assert q.project(Poly.monomial(m, 1) * g).is_zero, (m, g)
+    for d in range(q.max_degree + 1):
+        free = q.free_monomials(d)
+        for m in monomials_of_degree(n, d):
+            recon = Poly.zero(n)
+            for slot, c in q.reduce_monomial(m).items():
+                recon = recon + c * Poly.monomial(free[slot], 1)
+            assert brute_in_ideal(spec, Poly.monomial(m, 1) - recon, d), m
+    return q
+
+
+def _table_entries(q: GradedQuotient):
+    for d in range(q.max_degree + 1):
+        for m in monomials_of_degree(q.nvars, d):
+            yield from q.reduce_monomial(m).values()
+
+
+def _cubes(n: int) -> list[Poly]:
+    return [Poly.variable(i, n) ** 3 for i in range(1, n + 1)]
+
+
+def test_non_unit_pivot_gives_a_rational_table_entry():
+    x1, x2 = Poly.variable(1, 3), Poly.variable(2, 3)
+    spec = IdealSpec(3, (2 * x1 + 3 * x2, *_cubes(3)), 7)
+    q = _check_against_dense(spec)
+    # 3*x2 is the leading term (x2 > x1), so x2 = -2/3 * x1 in the quotient
+    fractional = [v for v in _table_entries(q) if not isinstance(v, int)]
+    assert fractional
+    assert QQ(-2, 3) in fractional
+    assert all(v.denominator != 1 for v in fractional)
+
+
+def test_fraction_coefficient_generators():
+    x1, x2, x3 = (Poly.variable(i, 3) for i in (1, 2, 3))
+    half = QQ(1, 2)
+    spec = IdealSpec(3, (half * x1 - x2, half * x2 * x3 + QQ(1, 3) * x1 * x1, *_cubes(3)), 7)
+    q = _check_against_dense(spec)
+    # the generator is scaled to x1 - 2*x2, whose leading term is -2*x2
+    assert q.free_monomials(1)[1] == (1, 0, 0)
+    assert q.reduce_monomial((0, 1, 0)) == {1: QQ(1, 2)}
+
+
+def test_table_entries_are_integers():
+    for spec in (build_ideal("Rn", n=4), build_ideal("Rmu", mu=(2, 2, 1))):
+        q = GradedQuotient(spec)
+        assert all(type(v) is int for v in _table_entries(q)), spec.family
+
+
+@st.composite
+def small_ideals(draw):
+    """A homogeneous ideal in at most 3 variables that contains every x_i^k."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(2, 3))
+    gens = [Poly.variable(i, n) ** k for i in range(1, n + 1)]
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 3))
+        monos = monomials_of_degree(n, d)
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(monos), max_size=len(monos)))
+        gens.append(Poly(n, {m: c for m, c in zip(monos, coeffs) if c}))
+    return IdealSpec(n, tuple(gens), n * (k - 1) + 1)
+
+
+@settings(max_examples=50)
+@given(small_ideals())
+def test_random_ideals_against_dense_row_reduction(spec):
+    q = GradedQuotient(spec)
+    assert list(q.hilbert) == brute_hilbert(spec)
+    for g in spec.generators:
+        assert q.project(g).is_zero
+
+
+def groebner_hilbert(gens, xs) -> tuple[int, ...]:
+    """Hilbert function read off the grevlex leading monomials of a Groebner basis."""
+    import sympy
+
+    basis = sympy.groebner(gens, *xs, order="grevlex")
+    leads = [sympy.Poly(g, *xs).monoms(order="grevlex")[0] for g in basis.exprs]
+    out = []
+    d = 0
+    while True:
+        count = sum(
+            1
+            for m in monomials_of_degree(len(xs), d)
+            if not any(all(a >= b for a, b in zip(m, lead)) for lead in leads)
+        )
+        if not count:
+            return tuple(out)
+        out.append(count)
+        d += 1
+
+
+def test_hilbert_against_sympy_groebner():
+    sympy = pytest.importorskip("sympy")
+
+    def elem(r, subset):
+        return sum(sympy.Mul(*c) for c in combinations(subset, r))
+
+    xs = sympy.symbols("x1:6")
+    rn = [elem(r, xs) for r in range(1, 6)]
+    assert groebner_hilbert(rn, xs) == graded_quotient(build_ideal("Rn", n=5)).hilbert
+    for mu in ((2, 2, 1, 1), (3, 1, 1, 1)):
+        # Tanisaki generators: e_r(S) for |S| = k and r > k - (sum of the
+        # last k parts of the conjugate of mu, padded with zeros to length n)
+        n = sum(mu)
+        xs = sympy.symbols(f"x1:{n + 1}")
+        conj = [sum(1 for p in mu if p > i) for i in range(n)]
+        gens = [
+            elem(r, subset)
+            for k in range(1, n + 1)
+            for subset in combinations(xs, k)
+            for r in range(max(1, k - sum(conj[n - k :]) + 1), k + 1)
+        ]
+        expected = graded_quotient(build_ideal("Rmu", mu=mu)).hilbert
+        assert groebner_hilbert(gens, xs) == expected, mu
