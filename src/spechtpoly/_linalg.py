@@ -1,6 +1,8 @@
-"""Small exact linear algebra over Q: leftmost-pivot RREF and a certified rank."""
+"""Small exact linear algebra over Q: fraction-free leftmost-pivot RREF and a certified rank."""
 
 from __future__ import annotations
+
+from math import gcd, lcm
 
 from .polyring import QQ
 
@@ -11,34 +13,63 @@ Vector = list
 Matrix = list
 
 
+def _primitive(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return row if g in (0, 1) else [v // g for v in row]
+
+
+def _integral_row(row: Vector) -> list[int]:
+    """The row times the lcm of its denominators, divided by its content."""
+    scale = lcm(*(int(x.denominator) for x in row))
+    return _primitive([int(x.numerator) * (scale // int(x.denominator)) for x in row])
+
+
+def _cancel(row: list[int], pcol: int, prow: list[int]) -> list[int]:
+    """An integer multiple of row minus a multiple of prow with a zero at pcol.
+
+    The multiples are the gcd cofactors of the two entries at pcol, so no
+    division is needed (Bareiss 1968).
+    """
+    lead = prow[pcol]
+    g = gcd(row[pcol], lead)
+    a, b = lead // g, row[pcol] // g
+    if a == 1:
+        return [x - b * y for x, y in zip(row, prow)]
+    return [a * x - b * y for x, y in zip(row, prow)]
+
+
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (reduced nonzero rows, pivot columns)."""
-    work = [[QQ(x) for x in row] for row in rows]
-    ncols = len(work[0]) if work else 0
+    """Reduced row echelon form; returns (reduced nonzero rows, pivot columns).
+
+    Entries may be ints or QQ.  Elimination is fraction-free over the
+    rows scaled to primitive integers: every kept row is an integer
+    multiple of its reduced row, with a positive entry at its pivot, and
+    is divided by that entry only when the result is emitted.  The RREF
+    of a matrix is unique, so this equals elimination over Q.
+    """
+    ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
-    reduced: Matrix = []
-    for row in work:
+    reduced: list[list[int]] = []
+    for row in map(_integral_row, rows):
         for prow, pcol in zip(reduced, pivots):
-            c = row[pcol]
-            if c:
-                for j in range(pcol, ncols):
-                    row[j] = row[j] - c * prow[j]
+            if row[pcol]:
+                row = _cancel(row, pcol, prow)
         lead = next((j for j in range(ncols) if row[j]), None)
         if lead is None:
             continue
-        inv = _ONE / row[lead]
-        row = [x * inv for x in row]
+        row = _primitive(row if row[lead] > 0 else [-v for v in row])
         # back-eliminate the new pivot from earlier rows
-        for prow in reduced:
-            c = prow[lead]
-            if c:
-                for j in range(lead, ncols):
-                    prow[j] = prow[j] - c * row[j]
+        for idx, prow in enumerate(reduced):
+            if prow[lead]:
+                reduced[idx] = _primitive(_cancel(prow, lead, row))
         # keep rows ordered by pivot column
         at = next((idx for idx, pc in enumerate(pivots) if pc > lead), len(pivots))
         reduced.insert(at, row)
         pivots.insert(at, lead)
-    return reduced, pivots
+    return [
+        [QQ(v, prow[pcol]) if v else _ZERO for v in prow]
+        for prow, pcol in zip(reduced, pivots)
+    ], pivots
 
 
 def kernel_basis(rows: Matrix, ncols: int) -> Matrix:
@@ -76,8 +107,7 @@ def solve_in_span(
         if len(v) != height:
             raise ValueError("inconsistent vector lengths")
     aug = [
-        [QQ(columns[j][i]) for j in range(ncols)]
-        + [QQ(targets[t][i]) for t in range(ntargets)]
+        [columns[j][i] for j in range(ncols)] + [targets[t][i] for t in range(ntargets)]
         for i in range(height)
     ]
     reduced, pivots = rref(aug)

@@ -11,7 +11,7 @@ reverse-lexicographic ranking of the variables with xn heaviest.
 from __future__ import annotations
 
 import itertools
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 try:
@@ -360,6 +360,13 @@ def extend_variables(p: Poly, nvars: int) -> Poly:
         return p
     pad = (0,) * (nvars - p.nvars)
     return Poly._raw(nvars, {e + pad: c for e, c in p.terms.items()})
+
+
+def clear_denominators(terms: Mapping) -> tuple[dict, int]:
+    """(ints, scale) with terms = ints / scale, where scale is the lcm of the denominators."""
+    scale = lcm(*(int(c.denominator) for c in terms.values()))
+    ints = {key: int(c.numerator) * (scale // int(c.denominator)) for key, c in terms.items()}
+    return ints, scale
 
 
 def poly_product(factors: Iterable[Poly], nvars: int) -> Poly:

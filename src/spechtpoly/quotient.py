@@ -13,11 +13,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, gcd, lcm
+from math import comb, gcd
 from typing import Callable, Sequence
 
 from ._linalg import dependent_rows, kernel_basis, solve_in_span
-from .polyring import Exponent, Poly, QQ, elementary, extend_variables, monomials_of_degree
+from .polyring import (
+    Exponent,
+    Poly,
+    QQ,
+    clear_denominators,
+    elementary,
+    extend_variables,
+    monomials_of_degree,
+)
 from .specht import BasisElement, _no_extra, _s_sort_key, build_basis_family
 from .tableaux import (
     Partition,
@@ -157,12 +165,6 @@ def _exact_quotient(num: int, den: int):
     return QQ(num, den) if r else q
 
 
-def _integral(row: dict) -> dict:
-    """row times the lcm of its denominators, as ints: the same relation over Q."""
-    scale = lcm(*(int(v.denominator) for v in row.values()))
-    return {key: int(v * scale) for key, v in row.items()}
-
-
 class GradedQuotient:
     """Exact graded structure of Q[x1..xn] modulo a homogeneous ideal."""
 
@@ -178,7 +180,7 @@ class GradedQuotient:
             d = g.degree()
             if d == 0:
                 raise ValueError("a nonzero constant generator makes the quotient zero")
-            self._gens_by_degree.setdefault(d, []).append(_integral(g.terms))
+            self._gens_by_degree.setdefault(d, []).append(clear_denominators(g.terms)[0])
         self._by_degree: list[_DegreeData] = []
         self._build()
 
@@ -227,7 +229,7 @@ class GradedQuotient:
 
         def insert_row(acc: dict[int, object]) -> None:
             if not prev.integral:
-                acc = _integral(acc)
+                acc = clear_denominators(acc)[0]
             for c in sorted(acc):
                 coeff = acc.get(c)
                 if not coeff:
@@ -541,20 +543,24 @@ def verify_basis(
 # -- the recursion family and transition matrices ----------------------------
 
 
-def gp_recursion_family(mu: Sequence[int]) -> list[BasisElement]:
+def gp_recursion_family(mu: Sequence[int], degree: int | None = None) -> list[BasisElement]:
     """The inductive spanning family: powers of x_n times child families.
 
     For i = 1..(number of parts), take the family of the i-th child
     partition (one cell removed from part i) in n-1 variables, multiplied
     by x_n^(i-1).  Within each degree the groups are ordered by the power
-    of x_n, then by the usual family order.
+    of x_n, then by the usual family order.  ``degree`` restricts the
+    family to that degree (degree - (i-1) from child i); None builds all.
     """
     mu = check_partition(mu)
     n = sum(mu)
     out: list[BasisElement] = []
     for i in range(1, len(mu) + 1):
+        if degree is not None and degree < i - 1:
+            break
         child = mu_child(mu, i)
-        for be in build_basis_family("Bmu", mu=child):
+        child_degree = None if degree is None else degree - (i - 1)
+        for be in build_basis_family("Bmu", mu=child, degree=child_degree):
             poly = extend_variables(be.poly, n)
             if i > 1:
                 poly = poly * Poly.variable(n, n) ** (i - 1)
@@ -615,10 +621,12 @@ def transition_matrix(
     if d < 0:
         raise ValueError("degree must be nonnegative")
     mu = check_partition(mu)
+    if not mu:
+        raise ValueError("mu must be nonempty")
     n = sum(mu)
-    rows = [be for be in build_basis_family("Bmu", mu=mu) if be.degree == d]
+    rows = build_basis_family("Bmu", mu=mu, degree=d)
     rows.sort(key=lambda be: _row_sort_key(be, n))
-    cols = [be for be in gp_recursion_family(mu) if be.degree == d]
+    cols = gp_recursion_family(mu, degree=d)
     quotient = graded_quotient(build_ideal("Rmu", mu=mu))
     hilb = quotient.hilbert[d] if d < len(quotient.hilbert) else 0
     if len(rows) != hilb or len(cols) != hilb:

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from . import perms
 from ._linalg import solve_in_span
 from .perms import Perm
-from .polyring import Poly, QQ, elementary, permute_variables
+from .polyring import Exponent, Poly, QQ, clear_denominators, elementary
 from .tableaux import (
     Partition,
     Tableau,
@@ -67,28 +68,56 @@ def column_group(t: Tableau) -> list[tuple[int, ...]]:
     return [tuple(row) for row in t.transpose().rows]
 
 
+def _signed_orbit_sum(
+    terms: dict[Exponent, int], group: Iterable[Perm], n: int, signed: bool
+) -> dict[Exponent, int]:
+    """The sum of sigma(terms) over the group, times sign(sigma) when signed.
+
+    Integer coefficients, accumulated in place in one dict: sigma moves
+    the exponent at variable i to variable sigma(i), as permute_variables.
+    """
+    out: dict[Exponent, int] = {}
+    get = out.get
+    for sigma in group:
+        inverse = [0] * n
+        for i, image in enumerate(sigma):
+            inverse[image] = i
+        # itemgetter of one index returns the entry, not a 1-tuple
+        relabel = itemgetter(*inverse) if n > 1 else tuple
+        negate = signed and perms.sign(sigma) < 0
+        for exp, c in terms.items():
+            key = relabel(exp)
+            v = get(key, 0) - c if negate else get(key, 0) + c
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+    return out
+
+
+def _rational_poly(n: int, terms: dict[Exponent, int], scale: int) -> Poly:
+    if scale == 1:
+        return Poly._raw(n, {e: QQ(c) for e, c in terms.items()})
+    return Poly._raw(n, {e: QQ(c, scale) for e, c in terms.items()})
+
+
 def apply_symmetrizer(t: Tableau, p: Poly) -> Poly:
     """Apply the (unnormalized) Young symmetrizer of T.
 
     First sum over the row group, then the signed sum over the column
     group.  Scalars are kept as-is, so results carry factorial factors.
+    Both sums run over the integer multiple of p with its denominators
+    cleared.
     """
     if not t.is_bijective():
         raise ValueError("symmetrizer needs a bijective filling")
     if t.size > p.nvars:
         raise ValueError("polynomial has too few variables for this tableau")
     n = p.nvars
-    symmetrized = Poly.zero(n)
-    for sigma in _setwise_perms(row_group(t), n):
-        symmetrized = symmetrized + permute_variables(sigma, p)
-    result = Poly.zero(n)
-    for tau in _setwise_perms(column_group(t), n):
-        term = permute_variables(tau, symmetrized)
-        if perms.sign(tau) < 0:
-            result = result - term
-        else:
-            result = result + term
-    return result
+    terms, scale = clear_denominators(p.terms)
+    rowed = _signed_orbit_sum(terms, _setwise_perms(row_group(t), n), n, signed=False)
+    result = _signed_orbit_sum(rowed, _setwise_perms(column_group(t), n), n, signed=True)
+    return _rational_poly(n, result, scale)
 
 
 # -- Specht polynomials ------------------------------------------------------
@@ -214,17 +243,14 @@ def garnir_apply(t: Tableau, a: int, b: int, row: int, p: Poly) -> Poly:
     entries = [t.rows[r][a - 1] for r in range(row - 1, conj[a - 1])]
     entries += [t.rows[r][b - 1] for r in range(0, row)]
     n = p.nvars
-    result = Poly.zero(n)
+    group = []
     for image in itertools.permutations(entries):
         perm = list(range(n))
         for x, y in zip(entries, image):
             perm[x - 1] = y - 1
-        term = permute_variables(tuple(perm), p)
-        if perms.sign(tuple(perm)) < 0:
-            result = result - term
-        else:
-            result = result + term
-    return result
+        group.append(tuple(perm))
+    terms, scale = clear_denominators(p.terms)
+    return _rational_poly(n, _signed_orbit_sum(terms, group, n, signed=True), scale)
 
 
 # -- straightening -----------------------------------------------------------
@@ -328,14 +354,15 @@ def _efactor(exponents: Sequence[int], n: int) -> Poly:
 
 
 def _pairs_standard(n: int):
+    """(S, fillings): every standard S of size n with the standard T of its shape."""
     for shape in partitions(n):
         stds = standard_tableaux(shape)
         for s in stds:
-            for t in stds:
-                yield s, t
+            yield s, stds
 
 
 def _pairs_content(mu: Partition):
+    """(S, fillings): every semistandard S of content mu with the standard T of its shape."""
     n = sum(mu)
     for shape in partitions(n):
         semis = enumerate_tableaux(shape, mu, flavor="semistandard")
@@ -343,11 +370,41 @@ def _pairs_content(mu: Partition):
             continue
         stds = standard_tableaux(shape)
         for s in semis:
-            for t in stds:
-                yield s, t
+            yield s, stds
 
 
-def build_basis_family(kind: str, **params) -> list[BasisElement]:
+def _family_elements(
+    pairs, n: int, exponent_tuples: Callable[[Tableau], Iterable[tuple[int, ...]]],
+    degree: int | None,
+) -> list[BasisElement]:
+    """F_T^S times e_1^a1 e_2^a2 ... for every pair and every exponent tuple of S.
+
+    The degree (cocharge of S plus the weight of the exponents) is known
+    before F_T^S is built, so with ``degree`` given only the elements of
+    that degree are built.  Each e-product is built once per call.
+    """
+    out: list[BasisElement] = []
+    efactors: dict[tuple[int, ...], Poly] = {}
+    for s, fillings in pairs:
+        cc = cocharge_labels(reading_word(s)).cocharge
+        wanted = []
+        for exps in exponent_tuples(s):
+            d = cc + sum(j * e for j, e in enumerate(exps, start=1))
+            if degree is None or d == degree:
+                wanted.append((exps, d))
+                if any(exps) and exps not in efactors:
+                    efactors[exps] = _efactor(exps, n)
+        if not wanted:
+            continue
+        for t in fillings:
+            base = higher_specht(s, t)
+            for exps, d in wanted:
+                poly = base * efactors[exps] if any(exps) else base
+                out.append(BasisElement(poly, d, s, t, exps))
+    return out
+
+
+def build_basis_family(kind: str, *, degree: int | None = None, **params) -> list[BasisElement]:
     """Construct a spanning family for one of the quotient rings.
 
     kind="Bn" (params: n): pairs of standard tableaux.
@@ -357,15 +414,14 @@ def build_basis_family(kind: str, **params) -> list[BasisElement]:
     kind="Bmu" (mu): semistandard S of content mu against standard T.
     kind="Bnkmu" (n, k, mu): mu must be the single part (n-1); content
         (n-1, 1) pairs times powers of e_1 with exponent below k - des(S).
-    Elements come back sorted by (degree, S, T, exponents).
+    ``degree`` restricts the family to its elements of that degree; None
+    builds every degree.  Elements come back sorted by (degree, S, T,
+    exponents).
     """
-    out: list[BasisElement] = []
     if kind == "Bn":
         n = params.pop("n")
         _no_extra(params)
-        for s, t in _pairs_standard(n):
-            cc = cocharge_labels(reading_word(s)).cocharge
-            out.append(BasisElement(higher_specht(s, t), cc, s, t))
+        out = _family_elements(_pairs_standard(n), n, lambda s: [()], degree)
     elif kind in ("Bnk", "Bnks"):
         n = params.pop("n")
         k = params.pop("k")
@@ -374,20 +430,16 @@ def build_basis_family(kind: str, **params) -> list[BasisElement]:
         if not (0 <= s_param <= k <= n):
             raise ValueError("need 0 <= s <= k <= n")
         width = n - s_param
-        for s, t in _pairs_standard(n):
-            des = descent_stats(s).des
-            cc = cocharge_labels(reading_word(s)).cocharge
-            base = higher_specht(s, t)
-            for exps in _bounded_tuples(width, k - des):
-                poly = base * _efactor(exps, n) if any(exps) else base
-                degree = cc + sum(j * e for j, e in enumerate(exps, start=1))
-                out.append(BasisElement(poly, degree, s, t, exps))
+        out = _family_elements(
+            _pairs_standard(n),
+            n,
+            lambda s: _bounded_tuples(width, k - descent_stats(s).des),
+            degree,
+        )
     elif kind == "Bmu":
         mu = check_partition(params.pop("mu"))
         _no_extra(params)
-        for s, t in _pairs_content(mu):
-            cc = cocharge_labels(reading_word(s)).cocharge
-            out.append(BasisElement(higher_specht(s, t), cc, s, t))
+        out = _family_elements(_pairs_content(mu), sum(mu), lambda s: [()], degree)
     elif kind == "Bnkmu":
         n = params.pop("n")
         k = params.pop("k")
@@ -399,13 +451,12 @@ def build_basis_family(kind: str, **params) -> list[BasisElement]:
             )
         if not 1 <= k <= n:
             raise ValueError("need 1 <= k <= n")
-        for s, t in _pairs_content((n - 1, 1)):
-            des = semistandard_descents(s)
-            cc = cocharge_labels(reading_word(s)).cocharge
-            base = higher_specht(s, t)
-            for i in range(max(0, k - des)):
-                poly = base * _efactor((i,), n) if i else base
-                out.append(BasisElement(poly, cc + i, s, t, (i,)))
+        out = _family_elements(
+            _pairs_content((n - 1, 1)),
+            n,
+            lambda s: [(i,) for i in range(max(0, k - semistandard_descents(s)))],
+            degree,
+        )
     else:
         raise ValueError(f"unknown family kind {kind!r}")
     out.sort(key=family_sort_key)

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -209,6 +211,39 @@ def test_transition_negative_degree_is_usage_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert "nonnegative" in captured.err
+
+
+def test_transition_empty_mu_is_usage_error(capsys):
+    code = main(["transition", "--mu", "", "--d", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "mu must be nonempty" in captured.err
+
+
+BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["transition", "--mu", "2,1", "--d", "1"]]
+    + [
+        ["transition", "--mu", "3,2,1", "--d", str(d), "--normalize", norm]
+        for d in range(5)
+        for norm in ("raw", "primitive")
+    ],
+    ids=lambda argv: " ".join(argv[2:]),
+)
+def test_transition_report_matches_bench_reference(capsys, argv):
+    # the digest is sha256 of the report as sorted compact JSON without its
+    # version stamp, as bench/check.py computes it
+    want = json.loads(BENCH_REFERENCE.read_text(encoding="utf-8"))["jobs"][" ".join(argv)]
+    code = main(argv)
+    report = json.loads(capsys.readouterr().out)
+    del report["version"]
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    assert code == want["rc"]
+    assert hashlib.sha256(text.encode()).hexdigest() == want["digest"]
 
 
 def test_transition_empty_degree_slice(capsys):

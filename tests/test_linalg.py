@@ -1,14 +1,19 @@
-"""The certified rank kernel and its use in verify_basis.
+"""The exact kernels of ``_linalg`` and the use of the rank in verify_basis.
 
-``dependent_rows`` eliminates modulo a word-size prime first and falls back
-to exact rationals when that cannot certify independence.  These tests pin
-the fallback triggers and compare every rank it reports against exact
-elimination by ``rref`` (and against sympy when it is installed).
+``rref`` eliminates fraction-free over integers; it is checked against the
+dense rational elimination it replaced (kept here as the reference) and
+against sympy when it is installed.  ``dependent_rows`` eliminates modulo a
+word-size prime first and falls back to exact rationals when that cannot
+certify independence.  These tests pin the fallback triggers and compare
+every rank it reports against exact elimination by ``rref`` (and against
+sympy).
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spechtpoly import _linalg
 from spechtpoly._linalg import _P, _eliminate, dependent_rows, rref
@@ -20,6 +25,34 @@ try:
     import sympy
 except ImportError:  # pragma: no cover
     sympy = None
+
+
+def reference_rref(rows):
+    """Dense leftmost-pivot RREF over QQ, dividing by each pivot as it is found."""
+    work = [[QQ(x) for x in row] for row in rows]
+    ncols = len(work[0]) if work else 0
+    pivots: list[int] = []
+    reduced: list = []
+    for row in work:
+        for prow, pcol in zip(reduced, pivots):
+            c = row[pcol]
+            if c:
+                for j in range(pcol, ncols):
+                    row[j] = row[j] - c * prow[j]
+        lead = next((j for j in range(ncols) if row[j]), None)
+        if lead is None:
+            continue
+        inv = QQ(1) / row[lead]
+        row = [x * inv for x in row]
+        for prow in reduced:
+            c = prow[lead]
+            if c:
+                for j in range(lead, ncols):
+                    prow[j] = prow[j] - c * row[j]
+        at = next((idx for idx, pc in enumerate(pivots) if pc > lead), len(pivots))
+        reduced.insert(at, row)
+        pivots.insert(at, lead)
+    return reduced, pivots
 
 
 def exact_rank(rows) -> int:
@@ -98,6 +131,70 @@ def test_random_matrices_against_rref(rng):
             for i in range(nrows)
         ]
         assert dependent_rows(rows) == prefix_dependent(rows), rows
+
+
+_ENTRIES = st.one_of(
+    st.just(QQ(0)),
+    st.integers(-4, 4).map(QQ),
+    st.builds(QQ, st.integers(-9, 9), st.sampled_from((1, 2, 3, 4, 6, 7))),
+)
+
+
+@st.composite
+def matrices(draw):
+    """Rational matrices, wide or tall, with zero, duplicate and multiple rows mixed in."""
+    ncols = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(_ENTRIES, min_size=ncols, max_size=ncols), max_size=8))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("zero", "duplicate", "multiple")))
+        if kind == "zero" or not rows:
+            extra = [QQ(0)] * ncols
+        else:
+            source = rows[draw(st.integers(0, len(rows) - 1))]
+            factor = QQ(1) if kind == "duplicate" else draw(_ENTRIES)
+            extra = [factor * x for x in source]
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return rows
+
+
+@given(matrices())
+def test_rref_matches_rational_reference(rows):
+    copy = [list(row) for row in rows]
+    reduced, pivots = rref(rows)
+    assert (reduced, pivots) == reference_rref(rows)
+    assert all(isinstance(x, QQ) for row in reduced for x in row)
+    assert rows == copy
+    # integer entries take the same path as their QQ values
+    ints = [[int(x.numerator) for x in row] for row in rows]
+    assert rref(ints) == reference_rref(ints)
+
+
+def _sympy_rows(sympy, rows):
+    return [[sympy.Rational(int(x.numerator), int(x.denominator)) for x in row] for row in rows]
+
+
+@given(matrices())
+def test_rref_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    reduced, pivots = rref(rows)
+    if not rows:
+        assert (reduced, pivots) == ([], [])
+        return
+    want, want_pivots = sympy.Matrix(_sympy_rows(sympy, rows)).rref()
+    assert pivots == list(want_pivots)
+    assert _sympy_rows(sympy, reduced) == [list(want.row(i)) for i in range(len(pivots))]
+
+
+def test_rref_shapes():
+    half = QQ(1, 2)
+    # wide: one row
+    assert rref([[QQ(0), QQ(2), QQ(3)]]) == ([[QQ(0), QQ(1), QQ(3, 2)]], [1])
+    # tall: a column with a zero row and a duplicate
+    assert rref([[QQ(0)], [half], [half]]) == ([[QQ(1)]], [0])
+    assert rref([[QQ(0), QQ(0)]]) == ([], [])
+    assert rref([]) == ([], [])
+    # a negative pivot and entries that only divide out at the end
+    assert rref([[QQ(-3), QQ(1)], [QQ(6), QQ(4)]]) == reference_rref([[-3, 1], [6, 4]])
 
 
 # -- verify_basis against an independent exact rank ------------------------------

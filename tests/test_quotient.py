@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spechtpoly._linalg import solve_in_span
 from spechtpoly.polyring import QQ, Poly, elementary, monomials_of_degree
 from spechtpoly.quotient import (
     GradedQuotient,
     IdealSpec,
+    _row_sort_key,
     almost_lower_triangular,
     build_ideal,
     degree_slice,
@@ -304,6 +306,30 @@ def test_transition_expresses_rows_over_columns():
                 for slot in range(len(combo)):
                     combo[slot] = combo[slot] + res.matrix[i][j] * cvec[slot]
             assert combo == target, (d, i)
+
+
+@pytest.mark.parametrize("mu", [(3, 1, 1), (2, 2, 1), (3, 2, 1)])
+def test_transition_matches_filtered_full_families(mu):
+    # transition_matrix builds only the degree-d family elements; filtering
+    # the whole families by degree must give the same rows, columns and matrices
+    n = sum(mu)
+    q = graded_quotient(build_ideal("Rmu", mu=mu))
+    full_rows = build_basis_family("Bmu", mu=mu)
+    full_cols = gp_recursion_family(mu)
+    for d in range(len(q.hilbert) + 1):
+        rows = [be for be in full_rows if be.degree == d]
+        rows.sort(key=lambda be: _row_sort_key(be, n))
+        cols = [be for be in full_cols if be.degree == d]
+        raw = solve_in_span(
+            [q.coords(be.poly, d) for be in cols], [q.coords(be.poly, d) for be in rows]
+        )
+        primitive = [
+            [raw[i][j] * cols[j].poly.content() / rows[i].poly.content() for j in range(len(cols))]
+            for i in range(len(rows))
+        ]
+        got = transition_matrix(mu, d, "raw")
+        assert (got.rows, got.cols, got.matrix) == (rows, cols, raw), d
+        assert transition_matrix(mu, d, "primitive").matrix == primitive, d
 
 
 def test_transition_primitive_rescales():

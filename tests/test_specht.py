@@ -99,9 +99,33 @@ def test_symmetrizer_matches_naive():
         (parse_tableau("1 2/3"), x(1, 3) * x(1, 3) + x(2, 3)),
         (parse_tableau("1 3/2 4"), x(2, 4) * x(4, 4)),
         (parse_tableau("1 2 3/4"), x(4, 4) * x(4, 4) * x(1, 4)),
+        # non-integer coefficients: the denominators are cleared and restored
+        (
+            parse_tableau("1 3/2 4"),
+            QQ(1, 2) * x(1, 4) * x(1, 4) - QQ(2, 3) * x(2, 4) * x(3, 4) + 5 * x(4, 4) * x(1, 4),
+        ),
     ]
     for t, p in cases:
-        assert apply_symmetrizer(t, p) == naive_symmetrizer(t, p)
+        got = apply_symmetrizer(t, p)
+        assert got == naive_symmetrizer(t, p)
+        assert all(isinstance(c, QQ) for c in got.terms.values())
+
+
+def test_symmetrizer_matches_naive_on_every_pair_up_to_n4():
+    for n in range(1, 5):
+        for lam in partitions(n):
+            fillings = enumerate_tableaux(lam, flavor="all-bijective")
+            semis = [
+                s
+                for nu in partitions(n)
+                for s in enumerate_tableaux(lam, nu, flavor="semistandard")
+            ]
+            for s in semis:
+                for t in fillings:
+                    p = tagged_monomial(s, t)
+                    got = apply_symmetrizer(t, p)
+                    assert got == naive_symmetrizer(t, p), (s.rows, t.rows)
+                    assert all(isinstance(c, QQ) for c in got.terms.values())
 
 
 def test_tagged_monomial_frozen():
@@ -233,6 +257,45 @@ def test_garnir_annihilation_exhaustive_small():
                     for a, b, row in all_garnir_moves(lam):
                         g = garnir_apply(t, a, b, row, f)
                         assert g.is_zero, (lam, s.rows, t.rows, (a, b, row))
+
+
+def test_garnir_matches_naive_signed_sum():
+    # the signed sum over the permutations of the moved entries, by brute force
+    t = parse_tableau("1 2 3/4 5")
+    p = QQ(1, 3) * x(1, 5) ** 2 * x(4, 5) - 2 * x(2, 5) * x(5, 5) + x(3, 5)
+    conj = [sum(1 for q in t.shape if q > c) for c in range(t.shape[0])]
+    for a, b, row in all_garnir_moves(t.shape):
+        entries = [t.rows[r][a - 1] for r in range(row - 1, conj[a - 1])]
+        entries += [t.rows[r][b - 1] for r in range(row)]
+        want = Poly.zero(5)
+        for sigma in all_permutations(5):
+            if all(sigma[i - 1] == i - 1 for i in range(1, 6) if i not in entries):
+                sign = 1
+                for i, j in itertools.combinations(range(5), 2):
+                    if sigma[i] > sigma[j]:
+                        sign = -sign
+                want = want + sign * permute_variables(sigma, p)
+        got = garnir_apply(t, a, b, row, p)
+        assert got == want, (a, b, row)
+        assert all(isinstance(c, QQ) for c in got.terms.values())
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        ("Bn", {"n": 4}),
+        ("Bnk", {"n": 4, "k": 2}),
+        ("Bnks", {"n": 4, "k": 3, "s": 1}),
+        ("Bmu", {"mu": (2, 1, 1)}),
+        ("Bnkmu", {"n": 4, "k": 3, "mu": (3,)}),
+    ],
+)
+def test_degree_restricted_family_is_its_degree_slice(kind, params):
+    full = build_basis_family(kind, **params)
+    for d in range(-1, max(be.degree for be in full) + 2):
+        assert build_basis_family(kind, degree=d, **params) == [
+            be for be in full if be.degree == d
+        ], d
 
 
 def test_garnir_randomized_n6(rng):
