@@ -134,10 +134,15 @@ def dependent_rows(rows: Matrix) -> list[int]:
     eliminated modulo _P.  When no denominator is divisible by _P, that is
     a ring map, so rank mod _P <= rank over Q: rows independent mod _P are
     independent over Q.  Otherwise the rows are eliminated again over Q.
+    Entries are ints or QQs; an int is reduced without a modular inverse.
     """
     try:
         residues = [
-            [int(x.numerator) * pow(int(x.denominator), -1, _P) % _P for x in row]
+            [
+                x % _P if type(x) is int
+                else int(x.numerator) * pow(int(x.denominator), -1, _P) % _P
+                for x in row
+            ]
             for row in rows
         ]
     except ValueError:  # a denominator divisible by _P has no inverse mod _P
@@ -166,6 +171,6 @@ def _eliminate(rows: Matrix, p: int) -> list[int]:
         if lead is None:
             dependent.append(pos)
             continue
-        inv = pow(row[lead], -1, p) if p else _ONE / row[lead]
+        inv = pow(row[lead], -1, p) if p else 1 / QQ(row[lead])
         pivots.append((lead, [(j, reduce(v * inv)) for j, v in enumerate(row) if reduce(v)]))
     return dependent

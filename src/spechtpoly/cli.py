@@ -173,13 +173,29 @@ def cmd_transition(args: argparse.Namespace) -> int:
     return 0 if verdict else 1
 
 
+def _is_case(case) -> bool:
+    """A known family whose params are exactly its required ones, with int values."""
+    if not isinstance(case, dict) or case.get("family") not in FAMILIES:
+        return False
+    params = case.get("params")
+    if not isinstance(params, dict) or set(params) != set(_REQUIRED[case["family"]]):
+        return False
+    return all(
+        isinstance(v, list) and all(type(p) is int for p in v) if name == "mu"
+        else type(v) is int
+        for name, v in params.items()
+    )
+
+
 def _sweep_cases(args: argparse.Namespace) -> list[dict]:
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
-        cases = data.get("cases", [])
+        cases = data.get("cases", []) if isinstance(data, dict) else None
+        if not isinstance(cases, list):
+            raise UsageError("a sweep config is a JSON object with a list of cases")
         for case in cases:
-            if case.get("family") not in FAMILIES or "params" not in case:
+            if not _is_case(case):
                 raise UsageError(f"malformed sweep case: {case!r}")
         return cases
     if args.family is None or args.max_n is None:

@@ -1,5 +1,10 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
+Coefficients are integer-first: a coefficient is an ``int`` when its
+value is integral and a ``QQ`` only otherwise (``exact`` and
+``exact_quotient`` are the normalisers).  Integer inputs therefore stay in
+Python ints through every ring operation.
+
 Variables are x1..xn; exponent vectors are tuples of length ``nvars``.
 The monomial order used everywhere (term rendering, pivot selection,
 basis listings) is: higher total degree first, and within a degree
@@ -12,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from math import gcd, lcm
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 try:
@@ -23,8 +29,24 @@ from .perms import Perm
 
 Exponent = tuple[int, ...]
 
-_ZERO = QQ(0)
-_ONE = QQ(1)
+
+def exact(c):
+    """c as an int when its value is integral, else as a QQ."""
+    if type(c) is int:
+        return c
+    if type(c) is not QQ:
+        c = QQ(c)
+    return int(c.numerator) if c.denominator == 1 else c
+
+
+def exact_quotient(num: int, den: int):
+    """num / den for ints: an int when den divides num, else a QQ; never a float."""
+    q, r = divmod(num, den)
+    return QQ(num, den) if r else q
+
+
+def _all_int(terms: Mapping) -> bool:
+    return all(type(c) is int for c in terms.values())
 
 
 def monomial_sort_key(exp: Exponent):
@@ -33,7 +55,7 @@ def monomial_sort_key(exp: Exponent):
 
 
 class Poly:
-    """Immutable-by-convention sparse polynomial over Q."""
+    """Immutable-by-convention sparse polynomial over Q with exact coefficients."""
 
     __slots__ = ("nvars", "terms")
 
@@ -46,18 +68,18 @@ class Poly:
                 key = tuple(exp)
                 if len(key) != nvars or any(e < 0 for e in key):
                     raise ValueError(f"bad exponent {key!r} for nvars={nvars}")
-                c = QQ(coeff)
-                if c != _ZERO:
+                c = exact(coeff)
+                if c:
                     prev = clean.get(key)
-                    clean[key] = c if prev is None else prev + c
-                    if clean[key] == _ZERO:
+                    clean[key] = c if prev is None else exact(prev + c)
+                    if not clean[key]:
                         del clean[key]
         self.nvars = nvars
         self.terms = clean
 
     @classmethod
     def _raw(cls, nvars: int, terms: dict[Exponent, object]) -> "Poly":
-        """Trusted constructor: terms must already be clean (no zeros, QQ values)."""
+        """Trusted constructor: terms must already be clean (no zeros, exact values)."""
         p = object.__new__(cls)
         p.nvars = nvars
         p.terms = terms
@@ -69,12 +91,12 @@ class Poly:
 
     @classmethod
     def one(cls, nvars: int) -> "Poly":
-        return cls._raw(nvars, {(0,) * nvars: _ONE})
+        return cls._raw(nvars, {(0,) * nvars: 1})
 
     @classmethod
     def constant(cls, nvars: int, c) -> "Poly":
-        c = QQ(c)
-        if c == _ZERO:
+        c = exact(c)
+        if not c:
             return cls.zero(nvars)
         return cls._raw(nvars, {(0,) * nvars: c})
 
@@ -85,7 +107,7 @@ class Poly:
             raise ValueError(f"variable index {i} out of range 1..{nvars}")
         exp = [0] * nvars
         exp[i - 1] = 1
-        return cls._raw(nvars, {tuple(exp): _ONE})
+        return cls._raw(nvars, {tuple(exp): 1})
 
     @classmethod
     def monomial(cls, exp: Sequence[int], coeff=1) -> "Poly":
@@ -108,10 +130,10 @@ class Poly:
                 out[exp] = c
             else:
                 v = v + c
-                if v == _ZERO:
-                    del out[exp]
+                if v:
+                    out[exp] = exact(v)
                 else:
-                    out[exp] = v
+                    del out[exp]
         return Poly._raw(self.nvars, out)
 
     __radd__ = __add__
@@ -129,27 +151,32 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            c = QQ(other)
-            if c == _ZERO:
+            c = exact(other)
+            if not c:
                 return Poly.zero(self.nvars)
-            return Poly._raw(self.nvars, {e: v * c for e, v in self.terms.items()})
+            if type(c) is int and _all_int(self.terms):
+                return Poly._raw(self.nvars, {e: v * c for e, v in self.terms.items()})
+            return Poly._raw(self.nvars, {e: exact(v * c) for e, v in self.terms.items()})
         self._check_compatible(other)
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
         out: dict[Exponent, object] = {}
+        get = out.get
         for ea, ca in a.items():
             for eb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                v = out.get(key)
+                key = tuple(map(add, ea, eb))
+                v = get(key)
                 if v is None:
                     out[key] = ca * cb
                 else:
-                    v = v + ca * cb
-                    if v == _ZERO:
-                        del out[key]
-                    else:
+                    v += ca * cb
+                    if v:
                         out[key] = v
+                    else:
+                        del out[key]
+        if not (_all_int(a) and _all_int(b)):
+            out = {e: exact(v) for e, v in out.items()}
         return Poly._raw(self.nvars, out)
 
     __rmul__ = __mul__
@@ -198,41 +225,47 @@ class Poly:
         return {d: Poly._raw(self.nvars, t) for d, t in sorted(parts.items())}
 
     def coefficient(self, exp: Sequence[int]):
-        return self.terms.get(tuple(exp), _ZERO)
+        return self.terms.get(tuple(exp), 0)
 
     def evaluate(self, point: Sequence[object]):
         if len(point) != self.nvars:
             raise ValueError("point has wrong length")
-        total = _ZERO
+        point = [exact(v) for v in point]
+        total = 0
         for exp, coeff in self.terms.items():
             term = coeff
             for v, e in zip(point, exp):
                 if e:
-                    term = term * QQ(v) ** e
+                    term = term * v**e
             total = total + term
-        return total
+        return exact(total)
 
     def sorted_terms(self) -> list[tuple[Exponent, object]]:
         return sorted(self.terms.items(), key=lambda kv: monomial_sort_key(kv[0]))
 
     def content(self):
         """Positive rational c such that self/c has coprime integer coefficients."""
+        num, den = self._content()
+        return exact_quotient(num, den)
+
+    def _content(self) -> tuple[int, int]:
+        """(numerator, denominator) of the content; (1, 1) for the zero polynomial."""
         if not self.terms:
-            return _ONE
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, abs(int(c.numerator)))
-            d = int(c.denominator)
-            den = den * d // gcd(den, d)
-        return QQ(num, den)
+            return 1, 1
+        num = gcd(*(int(c.numerator) for c in self.terms.values()))
+        den = lcm(*(int(c.denominator) for c in self.terms.values()))
+        return num, den
 
     def primitive_part(self) -> "Poly":
-        """self divided by its content (sign of terms preserved)."""
-        if not self.terms:
-            return self
-        inv = 1 / self.content()
-        return Poly._raw(self.nvars, {e: c * inv for e, c in self.terms.items()})
+        """self divided by its content (sign of terms preserved); integer coefficients."""
+        num, den = self._content()
+        return Poly._raw(
+            self.nvars,
+            {
+                e: int(c.numerator) * (den // int(c.denominator)) // num
+                for e, c in self.terms.items()
+            },
+        )
 
     def canonical_key(self):
         """Hashable exact fingerprint, used for caching."""
@@ -325,7 +358,7 @@ def elementary(d: int, nvars: int, indices: Iterable[int] | None = None) -> Poly
         exp = [0] * nvars
         for i in combo:
             exp[i - 1] = 1
-        terms[tuple(exp)] = _ONE
+        terms[tuple(exp)] = 1
     return Poly._raw(nvars, terms)
 
 

@@ -23,6 +23,8 @@ from .polyring import (
     QQ,
     clear_denominators,
     elementary,
+    exact,
+    exact_quotient,
     extend_variables,
     monomials_of_degree,
 )
@@ -34,9 +36,6 @@ from .tableaux import (
     last_letter_key,
     mu_child,
 )
-
-_ZERO = QQ(0)
-
 
 # -- ideal construction ------------------------------------------------------
 
@@ -157,12 +156,6 @@ class _DegreeData:
     free_index: dict[Exponent, int]
     red: dict[Exponent, dict[int, object]]  # every monomial -> {free slot: coeff}
     integral: bool = True  # every coefficient in red is an int
-
-
-def _exact_quotient(num: int, den: int):
-    """num/den as an int when it divides, else as a QQ."""
-    q, r = divmod(num, den)
-    return QQ(num, den) if r else q
 
 
 class GradedQuotient:
@@ -361,7 +354,7 @@ class GradedQuotient:
                 red[m] = {slot_of_pos[pos]: 1}
             else:
                 lead = pivot_lead[pos]
-                red[m] = {slot_of_pos[c]: _exact_quotient(-v, lead) for c, v in tail.items()}
+                red[m] = {slot_of_pos[c]: exact_quotient(-v, lead) for c, v in tail.items()}
         if free:
             for m in monomials_of_degree(n, d):
                 if m in red:
@@ -418,7 +411,7 @@ class GradedQuotient:
                     raise ValueError("polynomial is not homogeneous of the given degree")
             return []
         data = self._by_degree[d]
-        out = [_ZERO] * len(data.free)
+        out = [0] * len(data.free)
         for exp, coeff in poly.terms.items():
             if sum(exp) != d:
                 raise ValueError("polynomial is not homogeneous of the given degree")
@@ -438,12 +431,12 @@ class GradedQuotient:
             for exp, coeff in comp.terms.items():
                 for slot, v in data.red[exp].items():
                     key = data.free[slot]
-                    nv = terms.get(key, _ZERO) + coeff * v
+                    nv = terms.get(key, 0) + coeff * v
                     if nv:
                         terms[key] = nv
                     else:
                         del terms[key]
-        return Poly._raw(self.nvars, terms)
+        return Poly._raw(self.nvars, {e: exact(c) for e, c in terms.items()})
 
     def is_zero_in_quotient(self, poly: Poly) -> bool:
         return self.project(poly).is_zero
@@ -644,7 +637,7 @@ def transition_matrix(
         row_scale = [be.poly.content() for be in rows]
         col_scale = [be.poly.content() for be in cols]
         matrix = [
-            [matrix[i][j] * col_scale[j] / row_scale[i] for j in range(len(cols))]
+            [QQ(matrix[i][j] * col_scale[j]) / row_scale[i] for j in range(len(cols))]
             for i in range(len(rows))
         ]
     return TransitionResult(matrix, rows, cols, mu, d, normalize)
@@ -679,19 +672,19 @@ def almost_lower_triangular(matrix: list[list]) -> tuple[bool, list[list] | None
         target = [matrix[j][c] for c in range(j + 1)]
         pick = None
         for vec in kernel_basis(upper, j + 1):
-            dot = sum((target[c] * vec[c] for c in range(j + 1)), _ZERO)
+            dot = sum(target[c] * vec[c] for c in range(j + 1))
             if dot:
                 pick = vec
                 break
         if pick is None:
             return False, None
         pick = _primitive_vector(pick)
-        cols_a.append(pick + [_ZERO] * (t - j - 1))
+        cols_a.append(pick + [0] * (t - j - 1))
     witness = [[cols_a[j][i] for j in range(t)] for i in range(t)]
     # internal sanity: M * A really is lower triangular with nonzero diagonal
     for i in range(t):
         for j in range(t):
-            entry = sum((matrix[i][c] * witness[c][j] for c in range(t)), _ZERO)
+            entry = sum(matrix[i][c] * witness[c][j] for c in range(t))
             if j > i and entry:
                 raise AssertionError("witness failed above the diagonal")
             if j == i and not entry:

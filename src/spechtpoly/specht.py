@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from . import perms
 from ._linalg import solve_in_span
-from .perms import Perm
-from .polyring import Exponent, Poly, QQ, clear_denominators, elementary
+from .polyring import Exponent, Poly, clear_denominators, elementary, exact_quotient
 from .tableaux import (
     Partition,
     Tableau,
@@ -35,29 +35,7 @@ from .tableaux import (
     standard_tableaux,
 )
 
-_ZERO = QQ(0)
-
-
 # -- symmetrizers ------------------------------------------------------------
-
-
-def _setwise_perms(groups: Sequence[Sequence[int]], n: int) -> list[Perm]:
-    """All permutations of {1..n} (as 0-based tuples) permuting each group within itself."""
-    per_group: list[list[tuple[tuple[int, int], ...]]] = []
-    for g in groups:
-        entries = tuple(g)
-        images = [
-            tuple(zip(entries, img)) for img in itertools.permutations(entries)
-        ]
-        per_group.append(images)
-    out: list[Perm] = []
-    for combo in itertools.product(*per_group):
-        perm = list(range(n))
-        for assignment in combo:
-            for a, b in assignment:
-                perm[a - 1] = b - 1
-        out.append(tuple(perm))
-    return out
 
 
 def row_group(t: Tableau) -> list[tuple[int, ...]]:
@@ -68,37 +46,66 @@ def column_group(t: Tableau) -> list[tuple[int, ...]]:
     return [tuple(row) for row in t.transpose().rows]
 
 
-def _signed_orbit_sum(
-    terms: dict[Exponent, int], group: Iterable[Perm], n: int, signed: bool
-) -> dict[Exponent, int]:
-    """The sum of sigma(terms) over the group, times sign(sigma) when signed.
+Relabeller = Callable[[Exponent], Exponent]
 
-    Integer coefficients, accumulated in place in one dict: sigma moves
-    the exponent at variable i to variable sigma(i), as permute_variables.
+
+@lru_cache(maxsize=256)
+def _symmetric_group(
+    entries: tuple[int, ...], n: int, signed: bool
+) -> list[tuple[Relabeller, bool]]:
+    """(relabel, negate) for every permutation sigma of the variables x_e, e in entries.
+
+    relabel maps an exponent tuple to the one of sigma applied to the
+    monomial: sigma moves the exponent at variable i to variable
+    sigma(i), as permute_variables.  negate is sign(sigma) < 0 when signed.
+    Keyed by the sorted entries, so every tableau with that row or column
+    shares one list: the row and column groups of a T are built once, not
+    once per F_T^S.  The cache is bounded; a transition session over
+    partitions of 6 and 7 uses under 200 entries.
     """
-    out: dict[Exponent, int] = {}
-    get = out.get
-    for sigma in group:
-        inverse = [0] * n
-        for i, image in enumerate(sigma):
-            inverse[image] = i
+    out = []
+    for image in itertools.permutations(entries):
+        inverse = list(range(n))  # sigma sends entry a to entry b; its inverse b to a
+        for a, b in zip(entries, image):
+            inverse[b - 1] = a - 1
         # itemgetter of one index returns the entry, not a 1-tuple
         relabel = itemgetter(*inverse) if n > 1 else tuple
-        negate = signed and perms.sign(sigma) < 0
-        for exp, c in terms.items():
-            key = relabel(exp)
-            v = get(key, 0) - c if negate else get(key, 0) + c
-            if v:
-                out[key] = v
-            else:
-                del out[key]
+        out.append((relabel, signed and perms.sign(tuple(inverse)) < 0))
     return out
 
 
+def _signed_orbit_sum(
+    terms: dict[Exponent, int], groups: Iterable[Sequence[int]], n: int, signed: bool
+) -> dict[Exponent, int]:
+    """The sum of sigma(terms), times sign(sigma) when signed, over a product of groups.
+
+    Each group is the symmetric group of one set of entries; the sets are
+    disjoint, so the groups commute and the sum over their product is the
+    composite of the sums over each group.  Integer coefficients, each sum
+    accumulated in place in one dict.
+    """
+    for entries in groups:
+        if len(entries) < 2:
+            continue
+        out: dict[Exponent, int] = {}
+        get = out.get
+        for relabel, negate in _symmetric_group(tuple(sorted(entries)), n, signed):
+            for exp, c in terms.items():
+                key = relabel(exp)
+                v = get(key, 0) - c if negate else get(key, 0) + c
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
+        terms = out
+    return terms
+
+
 def _rational_poly(n: int, terms: dict[Exponent, int], scale: int) -> Poly:
+    """The polynomial terms / scale; terms is a fresh dict of nonzero ints."""
     if scale == 1:
-        return Poly._raw(n, {e: QQ(c) for e, c in terms.items()})
-    return Poly._raw(n, {e: QQ(c, scale) for e, c in terms.items()})
+        return Poly._raw(n, terms)
+    return Poly._raw(n, {e: exact_quotient(c, scale) for e, c in terms.items()})
 
 
 def apply_symmetrizer(t: Tableau, p: Poly) -> Poly:
@@ -115,9 +122,8 @@ def apply_symmetrizer(t: Tableau, p: Poly) -> Poly:
         raise ValueError("polynomial has too few variables for this tableau")
     n = p.nvars
     terms, scale = clear_denominators(p.terms)
-    rowed = _signed_orbit_sum(terms, _setwise_perms(row_group(t), n), n, signed=False)
-    result = _signed_orbit_sum(rowed, _setwise_perms(column_group(t), n), n, signed=True)
-    return _rational_poly(n, result, scale)
+    rowed = _signed_orbit_sum(terms, row_group(t), n, signed=False)
+    return _rational_poly(n, _signed_orbit_sum(rowed, column_group(t), n, signed=True), scale)
 
 
 # -- Specht polynomials ------------------------------------------------------
@@ -210,11 +216,11 @@ def bilinear_form(f: Poly, g: Poly):
     n = f.nvars
     product = f * g
     if product.is_zero:
-        return _ZERO
+        return 0
     target = n * (n - 1) // 2
     if all(sum(e) != target for e in product.terms):
-        return _ZERO
-    total = _ZERO
+        return 0
+    total = 0
     for sigma in perms.all_permutations(n):
         exp = [0] * n
         for i, si in enumerate(sigma):
@@ -243,21 +249,15 @@ def garnir_apply(t: Tableau, a: int, b: int, row: int, p: Poly) -> Poly:
     entries = [t.rows[r][a - 1] for r in range(row - 1, conj[a - 1])]
     entries += [t.rows[r][b - 1] for r in range(0, row)]
     n = p.nvars
-    group = []
-    for image in itertools.permutations(entries):
-        perm = list(range(n))
-        for x, y in zip(entries, image):
-            perm[x - 1] = y - 1
-        group.append(tuple(perm))
     terms, scale = clear_denominators(p.terms)
-    return _rational_poly(n, _signed_orbit_sum(terms, group, n, signed=True), scale)
+    return _rational_poly(n, _signed_orbit_sum(terms, [entries], n, signed=True), scale)
 
 
 # -- straightening -----------------------------------------------------------
 
 
 def _poly_to_vector(p: Poly, index: dict) -> list:
-    vec = [_ZERO] * len(index)
+    vec = [0] * len(index)
     for e, c in p.terms.items():
         vec[index[e]] = c
     return vec

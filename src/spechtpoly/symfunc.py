@@ -27,9 +27,6 @@ from .tableaux import (
     standard_tableaux,
 )
 
-_ZERO = QQ(0)
-
-
 # -- characters of the symmetric group ---------------------------------------
 
 
@@ -188,7 +185,7 @@ def graded_frobenius(quotient: GradedQuotient) -> GradedSchurExpansion:
         for d in range(ndeg):
             free = quotient.free_monomials(d)
             slot_of = {m: i for i, m in enumerate(free)}
-            tr = _ZERO
+            tr = 0
             for slot, m in enumerate(free):
                 permuted = [0] * n
                 for i, e in enumerate(m):
@@ -205,14 +202,14 @@ def graded_frobenius(quotient: GradedQuotient) -> GradedSchurExpansion:
     for i, lam in enumerate(ct.shapes):
         chi_row = ct.values[i]
         for d in range(ndeg):
-            total = _ZERO
+            total = 0
             for j in range(len(ct.classes)):
                 total = total + ct.class_sizes[j] * chi_row[j] * traces[j][d]
-            mult = total / order
-            if mult.denominator != 1 or mult < 0:
+            mult, rem = divmod(total, order)
+            if rem or mult < 0:
                 raise ArithmeticError(
-                    f"multiplicity of {lam} in degree {d} is {mult}, not a "
-                    "nonnegative integer"
+                    f"multiplicity of {lam} in degree {d} is "
+                    f"{QQ(total) / order}, not a nonnegative integer"
                 )
             out.add_term(d, lam, int(mult))
     return out
@@ -338,7 +335,7 @@ def irreducible_block_check(s: Tableau, quotient: GradedQuotient) -> dict:
     char_values = []
     for rho in ct.classes:
         sigma = from_cycle_type(rho, n)
-        tr = _ZERO
+        tr = 0
         for idx, t in enumerate(stds):
             moved = t.replace_entries({e: sigma[e - 1] + 1 for e in range(1, n + 1)})
             tr = tr + straighten(s, moved)[idx]

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -303,6 +305,27 @@ def test_sweep_config_malformed(tmp_path, capsys):
     assert "malformed sweep case" in captured.err
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"cases": [{"family": "Rn", "params": {"n": 3, "k": 2}}]},
+        {"cases": [{"family": "Rn", "params": {}}]},
+        {"cases": [{"family": "Rn", "params": {"n": "3"}}]},
+        {"cases": [{"family": "Rmu", "params": {"mu": [2, "1"]}}]},
+        {"cases": {"family": "Rn", "params": {"n": 3}}},
+    ],
+    ids=["extra-param", "missing-param", "string-n", "string-part", "cases-not-a-list"],
+)
+def test_sweep_config_bad_params_is_usage_error(tmp_path, capsys, config):
+    cfg = tmp_path / "cases.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["sweep", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "sweep" in captured.err
+    assert captured.out == ""
+
+
 def test_sweep_parallel_is_byte_identical(tmp_path):
     out1, out2 = tmp_path / "one.json", tmp_path / "two.json"
     argv = ["sweep", "--family", "Rnks", "--max-n", "3", "--output"]
@@ -378,14 +401,22 @@ def test_schema_is_valid_draft7():
 
 
 def test_console_script_smoke():
+    """One real subprocess call: the console script, else the module with src on the path."""
     exe = shutil.which("spechtpoly")
+    env = None
     if exe is None:
-        pytest.skip("console script not on PATH")
+        command = [sys.executable, "-m", "spechtpoly.cli"]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    else:
+        command = [exe]
     proc = subprocess.run(
-        [exe, "hilbert", "--family", "Rn", "--n", "3"],
+        command + ["hilbert", "--family", "Rn", "--n", "3"],
         capture_output=True,
         text=True,
         timeout=60,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["hilbert"] == [1, 2, 2, 1]

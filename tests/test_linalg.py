@@ -11,13 +11,15 @@ sympy).
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from spechtpoly import _linalg
 from spechtpoly._linalg import _P, _eliminate, dependent_rows, rref
-from spechtpoly.polyring import QQ
+from spechtpoly.polyring import QQ, Poly
 from spechtpoly.quotient import build_ideal, graded_quotient, verify_basis
 from spechtpoly.specht import build_basis_family
 
@@ -241,3 +243,27 @@ def test_verify_basis_ranks_match_exact_elimination(spec, family):
         dependent += [(d, positions[i]) for i in prefix_dependent(rows)]
     reported = [(f["d"], f["position"]) for f in report["failures"] if f["kind"] == "dependent"]
     assert reported == dependent
+
+
+def _as_rationals(be):
+    """The element with every coefficient cast to QQ, bypassing the int-first rule."""
+    terms = {e: QQ(c) for e, c in be.poly.terms.items()}
+    return dataclasses.replace(be, poly=Poly._raw(be.poly.nvars, terms))
+
+
+@pytest.mark.parametrize(
+    "spec,family", [pytest.param(spec, fam, id=name) for name, spec, fam in _differential_cases()]
+)
+def test_verify_basis_integer_family_matches_rational_family(spec, family):
+    # the families are integral, so the rule gives every coefficient as an int
+    assert all(type(c) is int for be in family for c in be.poly.terms.values())
+    quotient = graded_quotient(spec)
+    rational = [_as_rationals(be) for be in family]
+    assert verify_basis(quotient, family) == verify_basis(quotient, rational)
+
+
+def test_dependent_rows_mixes_int_and_rational_entries():
+    assert dependent_rows([[2, QQ(1, 3)], [QQ(6), 1]]) == [1]
+    assert dependent_rows([[2, QQ(1, 3)], [QQ(6), 2]]) == []
+    # an int multiple of _P is zero mod _P, so the exact pass decides
+    assert dependent_rows([[_P, 1], [0, 1]]) == []

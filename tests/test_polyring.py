@@ -206,3 +206,74 @@ def test_fraction_coefficients_interoperate():
 def test_canonical_key_distinguishes():
     assert (x1 + x2).canonical_key() != (x1 - x2).canonical_key()
     assert (x1 + x2).canonical_key() == (x2 + x1).canonical_key()
+
+
+# -- the int-first coefficient rule -----------------------------------------------
+
+_mixed_coeffs = st.one_of(
+    st.integers(-9, 9),
+    st.builds(QQ, st.integers(-9, 9), st.sampled_from((1, 2, 3, 4, 6))),
+)
+_mixed_polys = st.dictionaries(
+    st.tuples(*(st.integers(0, 2) for _ in range(3))), _mixed_coeffs, max_size=5
+).map(lambda terms: Poly(3, terms))
+
+
+def is_exact(c) -> bool:
+    """An int when the value is integral, else a QQ with denominator > 1."""
+    return type(c) is int or (isinstance(c, QQ) and c.denominator > 1)
+
+
+def exact_poly(p: Poly) -> bool:
+    return all(is_exact(c) for c in p.terms.values())
+
+
+def rational_copy(p: Poly) -> Poly:
+    """The same polynomial with every coefficient held as a QQ."""
+    return Poly._raw(p.nvars, {e: QQ(c) for e, c in p.terms.items()})
+
+
+def no_float(p: Poly) -> bool:
+    return not any(isinstance(c, float) for c in p.terms.values())
+
+
+@settings(max_examples=80)
+@given(
+    _mixed_polys,
+    _mixed_polys,
+    _mixed_coeffs,
+    st.integers(0, 3),
+    st.tuples(_mixed_coeffs, _mixed_coeffs, _mixed_coeffs),
+)
+def test_mixed_coefficients_match_rational_arithmetic(f, g, c, k, point):
+    assert exact_poly(f) and exact_poly(g)
+    qf, qg, qc = rational_copy(f), rational_copy(g), QQ(c)
+    pairs = [
+        (f + g, qf + qg),
+        (f - g, qf - qg),
+        (f * g, qf * qg),
+        (f**k, qf**k),
+        (c * f, qc * qf),
+        (f * c, qf * qc),
+        (-f, -qf),
+        (f.primitive_part(), qf.primitive_part()),
+    ]
+    for got, want in pairs:
+        assert got == want
+        assert exact_poly(got)
+        assert no_float(want)
+    for got, want in ((f.content(), qf.content()), (f.evaluate(point), qf.evaluate(point))):
+        assert got == want
+        assert is_exact(got)
+        assert not isinstance(want, float)
+
+
+def test_integral_values_become_ints():
+    half = Poly.monomial((1, 0, 0), QQ(1, 2))
+    assert type((half + half).coefficient((1, 0, 0))) is int
+    assert type((2 * half).coefficient((1, 0, 0))) is int
+    assert type((half * half * 4).coefficient((2, 0, 0))) is int
+    assert type(Poly.constant(3, QQ(6, 3)).coefficient((0, 0, 0))) is int
+    assert type(Poly.one(3).evaluate((QQ(1, 2), 0, 0))) is int
+    assert (half + x1).coefficient((1, 0, 0)) == QQ(3, 2)
+    assert type((3 * x1 + QQ(1, 3) * x2).content()) is QQ
