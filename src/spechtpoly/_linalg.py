@@ -38,6 +38,14 @@ def _cancel(row: list[int], pcol: int, prow: list[int]) -> list[int]:
     return [a * x - b * y for x, y in zip(row, prow)]
 
 
+def _reduce(row: list[int], pivots) -> list[int]:
+    """Cancel row at each (pivot column, pivot row) in turn, fraction-free."""
+    for pcol, prow in pivots:
+        if row[pcol]:
+            row = _cancel(row, pcol, prow)
+    return row
+
+
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (reduced nonzero rows, pivot columns).
 
@@ -51,9 +59,7 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     pivots: list[int] = []
     reduced: list[list[int]] = []
     for row in map(_integral_row, rows):
-        for prow, pcol in zip(reduced, pivots):
-            if row[pcol]:
-                row = _cancel(row, pcol, prow)
+        row = _reduce(row, zip(pivots, reduced))
         lead = next((j for j in range(ncols) if row[j]), None)
         if lead is None:
             continue
@@ -149,28 +155,39 @@ def dependent_rows(rows: Matrix) -> list[int]:
         residues = None
     if residues is not None and not _eliminate(residues, _P):
         return []
-    return _eliminate([list(row) for row in rows], 0)
+    return _eliminate(rows, 0)
 
 
 def _eliminate(rows: Matrix, p: int) -> list[int]:
-    """Leftmost-pivot elimination in place; positions of the dependent rows.
+    """Leftmost-pivot elimination; positions of the dependent rows.
 
-    Over Q when p is 0, else over F_p on rows of ints, which are reduced
-    mod p only where a value is read.  Pivot rows are kept sparse.
+    Over F_p on rows of ints, which are reduced mod p only where a value is
+    read, with sparse monic pivot rows.  When p is 0, over Q: fraction-free
+    on the rows scaled to primitive integers, as in ``rref`` but forward
+    only.
     """
-    reduce = (lambda v: v % p) if p else (lambda v: v)
-    pivots: list[tuple[int, list]] = []
     dependent: list[int] = []
+    if not p:
+        reduced: list[tuple[int, list[int]]] = []
+        for pos, row in enumerate(map(_integral_row, rows)):
+            row = _reduce(row, reduced)
+            lead = next((j for j, v in enumerate(row) if v), None)
+            if lead is None:
+                dependent.append(pos)
+            else:
+                reduced.append((lead, _primitive(row)))
+        return dependent
+    pivots: list[tuple[int, list[tuple[int, int]]]] = []
     for pos, row in enumerate(rows):
         for pcol, prow in pivots:
-            c = reduce(row[pcol])
+            c = row[pcol] % p
             if c:
                 for j, v in prow:
                     row[j] -= c * v
-        lead = next((j for j, v in enumerate(row) if reduce(v)), None)
+        lead = next((j for j, v in enumerate(row) if v % p), None)
         if lead is None:
             dependent.append(pos)
             continue
-        inv = pow(row[lead], -1, p) if p else 1 / QQ(row[lead])
-        pivots.append((lead, [(j, reduce(v * inv)) for j, v in enumerate(row) if reduce(v)]))
+        inv = pow(row[lead], -1, p)
+        pivots.append((lead, [(j, v * inv % p) for j, v in enumerate(row) if v % p]))
     return dependent

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 
@@ -227,8 +228,22 @@ def _sweep_cases(args: argparse.Namespace) -> list[dict]:
 
 
 def _run_case(case: dict) -> dict:
-    """Worker entry point; must stay importable and return JSON-safe data."""
-    body = _verify_report(case["family"], case["params"])
+    """Worker entry point; must stay importable and return JSON-safe data.
+
+    A case that raises is recorded with its error and a false verdict, and
+    its traceback goes to stderr, so one bad case does not abort the sweep.
+    """
+    try:
+        body = _verify_report(case["family"], case["params"])
+    except Exception as exc:
+        print(f"sweep case {case['family']} {case['params']} raised:", file=sys.stderr)
+        traceback.print_exc()
+        return {
+            "family": case["family"],
+            "params": case["params"],
+            "verdict": False,
+            "error": {"type": type(exc).__name__, "message": str(exc)},
+        }
     return {
         "family": case["family"],
         "params": case["params"],

@@ -4,9 +4,10 @@ The degree-d slice of the ideal is built from the degree-(d-1) slice:
 if F is the set of monomials spanning the quotient in degree d-1, every
 degree-d monomial reduces (modulo the ideal) into the span of
 V = {x_i * f : f in F}, and the ideal's new relations are the shifted
-reductions of the previous degree plus any generators of degree d.  Row
-reduction happens over V-coordinates only, which keeps the linear
-algebra far smaller than the full monomial slice.
+reductions of the previous degree's border monomials (V minus F) plus any
+generators of degree d, certified by the commutation of the
+multiplication maps.  Row reduction happens over V-coordinates only, and
+the table of a monomial outside V is computed when it is first read.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from math import comb, gcd
 from typing import Callable, Sequence
 
-from ._linalg import dependent_rows, kernel_basis, solve_in_span
+from ._linalg import _integral_row, dependent_rows, kernel_basis, solve_in_span
 from .polyring import (
     Exponent,
     Poly,
@@ -154,12 +155,39 @@ def _drop(exp: Exponent, i: int) -> Exponent:
 class _DegreeData:
     free: list[Exponent]
     free_index: dict[Exponent, int]
-    red: dict[Exponent, dict[int, object]]  # every monomial -> {free slot: coeff}
-    integral: bool = True  # every coefficient in red is an int
+    vlist: list[Exponent]  # V = {x_i * f : f free one degree lower}, sorted
+    red: dict[Exponent, dict[int, object]]  # monomial -> {free slot: coeff}; V eagerly
+    times: list[list[dict[int, object]]]  # times[i][slot]: the row of x_i * prev.free[slot]
+    prev: _DegreeData | None = None
+    integral: bool = True  # every coefficient of this degree and below is an int
+
+    def shift(self, vec: dict[int, object], i: int) -> dict[int, object]:
+        """Coordinates of x_i times a vector over the previous degree's free set."""
+        out: dict[int, object] = {}
+        rows = self.times[i]
+        for slot, c in vec.items():
+            for s2, c2 in rows[slot].items():
+                nv = out.get(s2, 0) + c * c2
+                if nv:
+                    out[s2] = nv
+                else:
+                    del out[s2]
+        return out
+
+    def normal_form(self, m: Exponent) -> dict[int, object]:
+        """Row of the table for m; outside V it is x_j * NF(m / x_j), j = maxindex(m), memoised."""
+        row = self.red.get(m)
+        if row is None:
+            i = _maxindex(m)
+            row = self.red[m] = self.shift(self.prev.normal_form(_drop(m, i)), i)
+        return row
 
 
 class GradedQuotient:
-    """Exact graded structure of Q[x1..xn] modulo a homogeneous ideal."""
+    """Exact graded structure of Q[x1..xn] modulo a homogeneous ideal.
+
+    ``build_counts[d]`` is (rows inserted, pivots, fell back) for degree d.
+    """
 
     def __init__(self, spec: IdealSpec):
         self.spec = spec
@@ -175,16 +203,38 @@ class GradedQuotient:
                 raise ValueError("a nonzero constant generator makes the quotient zero")
             self._gens_by_degree.setdefault(d, []).append(clear_denominators(g.terms)[0])
         self._by_degree: list[_DegreeData] = []
+        self.build_counts: list[tuple[int, int, bool]] = []
         self._build()
 
     # -- construction --------------------------------------------------------
 
     def _build(self) -> None:
+        """Build degree by degree from border rows, certified by commutation.
+
+        Degree d is first built from the rows of the border monomials only
+        (the non-free monomials of the previous degree's V-set).  If the
+        multiplication maps x_i: degree d-1 -> degree d then commute on
+        degree d-2, the free sets carry a cyclic Q[x]-module whose
+        annihilator J contains every generator (its row was inserted) and
+        lies in the ideal I (every row does), so J = I up to degree d and
+        the table is exact (Mourrain 1999; Kehrein, Kreuzer & Robbiano
+        2005).  Otherwise the degree is rebuilt from every non-free
+        monomial of degree d-1, whose rows alone span x * I_{d-1}.
+        """
         n = self.nvars
         unit: Exponent = (0,) * n
-        self._by_degree.append(_DegreeData([unit], {unit: 0}, {unit: {0: 1}}))
+        self._by_degree.append(_DegreeData([unit], {unit: 0}, [unit], {unit: {0: 1}}, []))
+        self.build_counts.append((0, 0, False))
         for d in range(1, self.spec.degree_cap + 1):
-            data = self._build_degree(d)
+            prev = self._by_degree[d - 1]
+            border = [m for m in reversed(prev.vlist) if m not in prev.free_index]
+            data, rows = self._build_degree(d, border)
+            fell_back = d >= 2 and not self._commutes(data)
+            if fell_back:
+                nonfree = [m for m in monomials_of_degree(n, d - 1) if m not in prev.free_index]
+                data, more = self._build_degree(d, nonfree)
+                rows += more
+            self.build_counts.append((rows, len(data.vlist) - len(data.free), fell_back))
             if not data.free:
                 return
             self._by_degree.append(data)
@@ -192,25 +242,48 @@ class GradedQuotient:
             f"quotient did not become zero by the degree cap {self.spec.degree_cap}"
         )
 
-    def _build_degree(self, d: int) -> _DegreeData:
+    def _commutes(self, top: _DegreeData) -> bool:
+        """Whether x_i x_j = x_j x_i as maps from degree d-2 into ``top``, degree d.
+
+        For every free f of degree d-2 and i < j, x_j * NF(x_i f) and
+        x_i * NF(x_j f) must have the same coordinates.  A pair where x_i f
+        and x_j f are both free reads one entry on both sides and is skipped.
+        """
+        mid = top.prev
+        free_index = mid.free_index
+
+        def image(m: Exponent, k: int) -> dict[int, object]:
+            slot = free_index.get(m)
+            return top.shift(mid.red[m], k) if slot is None else top.times[k][slot]
+
+        for f in mid.prev.free:
+            up = [_bump(f, i) for i in range(self.nvars)]
+            for j in range(1, self.nvars):
+                for i in range(j):
+                    if up[i] in free_index and up[j] in free_index:
+                        continue
+                    if image(up[i], j) != image(up[j], i):
+                        return False
+        return True
+
+    def _build_degree(self, d: int, sources: list[Exponent]) -> tuple[_DegreeData, int]:
         """Fraction-free elimination of the degree-d relations over V-coordinates.
 
-        Rows are integer vectors; a row built from a previous degree whose
-        table holds a QQ has its denominators cleared first.  A pivot row is
-        kept as a positive integer ``lead`` at its pivot column plus a tail
-        over the non-pivot columns, with the content of the whole row
-        divided out; it is reduced (no pivot column appears in any tail), so
-        the table entries ``-tail / lead`` are the reduced row echelon form
-        over Q.  A row is eliminated by cross-multiplying with gcd cofactors
-        instead of dividing by the pivot (Bareiss 1968).
+        The rows are the generators of degree d, then x_i * (m - NF(m)) for
+        each source monomial m of degree d-1; returns the degree and the
+        number of rows inserted.  Rows are integer vectors; a row built
+        from a previous degree whose table holds a QQ has its denominators
+        cleared first.  A pivot row is kept as a positive integer ``lead``
+        at its pivot column plus a tail over the non-pivot columns, with
+        the content of the whole row divided out; it is reduced (no pivot
+        column appears in any tail), so the table entries ``-tail / lead``
+        are the reduced row echelon form over Q.  A row is eliminated by
+        cross-multiplying with gcd cofactors instead of dividing by the
+        pivot (Bareiss 1968).
         """
         n = self.nvars
         prev = self._by_degree[d - 1]
-        vset: set[Exponent] = set()
-        for f in prev.free:
-            for i in range(n):
-                vset.add(_bump(f, i))
-        vlist = sorted(vset)
+        vlist = sorted({_bump(f, i) for f in prev.free for i in range(n)})
         vindex = {m: pos for pos, m in enumerate(vlist)}
         shift_col = [
             [vindex[_bump(f, i)] for f in prev.free] for i in range(n)
@@ -219,8 +292,11 @@ class GradedQuotient:
         pivot_lead: dict[int, int] = {}
         pivot_tail: dict[int, dict[int, int]] = {}
         owners: dict[int, set[int]] = {}
+        rows = 0
 
         def insert_row(acc: dict[int, object]) -> None:
+            nonlocal rows
+            rows += 1
             if not prev.integral:
                 acc = clear_denominators(acc)[0]
             for c in sorted(acc):
@@ -302,7 +378,7 @@ class GradedQuotient:
                 return
             i = _maxindex(m)
             cols = shift_col[i]
-            for slot, c in prev.red[_drop(m, i)].items():
+            for slot, c in prev.normal_form(_drop(m, i)).items():
                 col = cols[slot]
                 nv = acc.get(col, 0) + coeff * c
                 if nv:
@@ -316,11 +392,8 @@ class GradedQuotient:
                 route(acc, exp, coeff)
             insert_row(acc)
 
-        prev_monomials = monomials_of_degree(n, d - 1)
-        for m in prev_monomials:
-            if m in prev.free_index:
-                continue
-            redm = prev.red[m]
+        for m in sources:
+            redm = prev.normal_form(m)
             maxi = _maxindex(m)
             for i in range(n):
                 up = _bump(m, i)
@@ -355,23 +428,12 @@ class GradedQuotient:
             else:
                 lead = pivot_lead[pos]
                 red[m] = {slot_of_pos[c]: exact_quotient(-v, lead) for c, v in tail.items()}
-        if free:
-            for m in monomials_of_degree(n, d):
-                if m in red:
-                    continue
-                i = _maxindex(m)
-                low = _drop(m, i)
-                acc_slots: dict[int, object] = {}
-                for slot, c in prev.red[low].items():
-                    for s2, c2 in red[_bump(prev.free[slot], i)].items():
-                        nv = acc_slots.get(s2, 0) + c * c2
-                        if nv:
-                            acc_slots[s2] = nv
-                        else:
-                            del acc_slots[s2]
-                red[m] = acc_slots
-        integral = all(type(v) is int for row in red.values() for v in row.values())
-        return _DegreeData(free, free_index, red, integral)
+        # an entry outside V is a product of V entries of this and lower degrees
+        integral = prev.integral and all(
+            type(v) is int for row in red.values() for v in row.values()
+        )
+        times = [[red[vlist[pos]] for pos in cols] for cols in shift_col]
+        return _DegreeData(free, free_index, vlist, red, times, prev, integral), rows
 
     # -- inspection ----------------------------------------------------------
 
@@ -397,7 +459,7 @@ class GradedQuotient:
         d = sum(exp)
         if d >= len(self._by_degree):
             return {}
-        return self._by_degree[d].red[tuple(exp)]
+        return self._by_degree[d].normal_form(tuple(exp))
 
     def coords(self, poly: Poly, d: int) -> list:
         """Coordinates of a homogeneous degree-d polynomial over the free set."""
@@ -415,7 +477,7 @@ class GradedQuotient:
         for exp, coeff in poly.terms.items():
             if sum(exp) != d:
                 raise ValueError("polynomial is not homogeneous of the given degree")
-            for slot, v in data.red[exp].items():
+            for slot, v in data.normal_form(exp).items():
                 out[slot] = out[slot] + coeff * v
         return out
 
@@ -429,7 +491,7 @@ class GradedQuotient:
                 continue
             data = self._by_degree[d]
             for exp, coeff in comp.terms.items():
-                for slot, v in data.red[exp].items():
+                for slot, v in data.normal_form(exp).items():
                     key = data.free[slot]
                     nv = terms.get(key, 0) + coeff * v
                     if nv:
@@ -681,10 +743,13 @@ def almost_lower_triangular(matrix: list[list]) -> tuple[bool, list[list] | None
         pick = _primitive_vector(pick)
         cols_a.append(pick + [0] * (t - j - 1))
     witness = [[cols_a[j][i] for j in range(t)] for i in range(t)]
-    # internal sanity: M * A really is lower triangular with nonzero diagonal
-    for i in range(t):
-        for j in range(t):
-            entry = sum(matrix[i][c] * witness[c][j] for c in range(t))
+    # internal sanity: M * A really is lower triangular with nonzero diagonal,
+    # checked in ints: A is integral, and scaling a row of M to integers keeps
+    # every zero and nonzero entry of the product
+    int_witness = [[int(v) for v in row] for row in witness]
+    for i, row in enumerate(map(_integral_row, matrix)):
+        for j in range(i, t):
+            entry = sum(row[c] * int_witness[c][j] for c in range(t))
             if j > i and entry:
                 raise AssertionError("witness failed above the diagonal")
             if j == i and not entry:

@@ -326,6 +326,39 @@ def test_sweep_config_bad_params_is_usage_error(tmp_path, capsys, config):
     assert captured.out == ""
 
 
+def test_sweep_records_a_failing_case_and_goes_on(tmp_path, capsys):
+    # Rnkmu is defined for single-part mu only; the case is well formed, so
+    # it is not a usage error, and the cases after it must still run
+    cfg = tmp_path / "cases.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "cases": [
+                    {"family": "Rn", "params": {"n": 3}},
+                    {"family": "Rnkmu", "params": {"n": 4, "k": 2, "mu": [2, 1]}},
+                    {"family": "Rmu", "params": {"mu": [2, 1]}},
+                ]
+            }
+        )
+    )
+    code = main(["sweep", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 1
+    assert "ValueError" in captured.err  # the case's traceback
+    assert report["total"] == 3 and report["passed"] == 2 and report["all_pass"] is False
+    ok, bad, last = report["results"]
+    assert ok["verdict"] is True and last["verdict"] is True
+    assert "error" not in ok and "error" not in last
+    assert bad["verdict"] is False
+    assert bad["error"]["type"] == "ValueError"
+    assert "single-part" in bad["error"]["message"]
+    check_schema(report)
+    out = tmp_path / "two.json"
+    assert main(["sweep", "--config", str(cfg), "--jobs", "2", "--output", str(out)]) == 1
+    assert json.loads(out.read_text()) == report
+
+
 def test_sweep_parallel_is_byte_identical(tmp_path):
     out1, out2 = tmp_path / "one.json", tmp_path / "two.json"
     argv = ["sweep", "--family", "Rnks", "--max-n", "3", "--output"]

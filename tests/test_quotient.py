@@ -3,6 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -364,6 +365,17 @@ def test_almost_lower_triangular():
         almost_lower_triangular([[one, zero]])
 
 
+def test_almost_lower_triangular_rational_matrix():
+    m = [[QQ(1, 2), QQ(1, 3), QQ(0)], [QQ(2, 5), QQ(-1, 7), QQ(3)], [QQ(1), QQ(1, 4), QQ(-2, 9)]]
+    ok, witness = almost_lower_triangular(m)
+    assert ok
+    assert all(v == int(v) for row in witness for v in row)
+    for i in range(3):
+        for j in range(i, 3):
+            entry = sum(m[i][c] * witness[c][j] for c in range(3))
+            assert (entry != 0) == (i == j), (i, j)
+
+
 # -- the integer builder: rational fallback, integrality and oracles ----------
 
 
@@ -421,6 +433,17 @@ def test_fraction_coefficient_generators():
     # the generator is scaled to x1 - 2*x2, whose leading term is -2*x2
     assert q.free_monomials(1)[1] == (1, 0, 0)
     assert q.reduce_monomial((0, 1, 0)) == {1: QQ(1, 2)}
+
+
+def test_rational_entries_below_an_integral_degree():
+    # x2^2 = -3/2 * x1^2; in degree 3 every V entry is an int, but x2^3,
+    # outside V, is -3/2 * x1^2*x2, and the generator x2^4 is routed through it
+    x1, x2 = Poly.variable(1, 2), Poly.variable(2, 2)
+    gens = (3 * x1 * x1 + 2 * x2 * x2, x1 * x2 * x2, x1**4, x2**4)
+    q = _check_against_dense(IdealSpec(2, gens, 5))
+    assert q.hilbert == (1, 2, 2, 1)
+    assert q.free_monomials(3) == [(2, 1)]
+    assert q.reduce_monomial((0, 3)) == {0: QQ(-3, 2)}
 
 
 def test_table_entries_are_integers():
@@ -495,3 +518,157 @@ def test_hilbert_against_sympy_groebner():
         ]
         expected = graded_quotient(build_ideal("Rmu", mu=mu)).hilbert
         assert groebner_hilbert(gens, xs) == expected, mu
+
+
+# -- border rows, the commutation certificate and the lazy table ---------------
+
+# The rings of the integer-builder comparison, plus Rn n=6 and Rmu(3,3,2).
+CORPUS = [
+    *(("Rmu", {"mu": mu}) for mu in (
+        (2, 1, 1, 1, 1), (2, 2, 1, 1), (3, 1, 1, 1), (3, 3, 1),
+        (3, 2, 1, 1), (3, 2, 2), (4, 1, 1, 1), (2, 2, 1),
+    )),
+    ("Rn", {"n": 4}),
+    ("Rn", {"n": 5}),
+    ("Rnks", {"n": 5, "k": 4, "s": 2}),
+    ("Rnks", {"n": 5, "k": 4, "s": 3}),
+    ("Rnkmu", {"n": 5, "k": 2, "mu": (3, 1)}),
+    ("Rnk", {"n": 6, "k": 2}),
+]
+
+
+def _corpus_id(case):
+    family, params = case
+    values = (",".join(map(str, v)) if isinstance(v, tuple) else str(v) for v in params.values())
+    return "-".join((family, *values))
+
+
+def _all_rows_build(spec: IdealSpec) -> GradedQuotient:
+    """The quotient built with every degree rebuilt from all non-free monomials."""
+    with patch.object(GradedQuotient, "_commutes", lambda self, top: False):
+        return GradedQuotient(spec)
+
+
+def _full_table(q: GradedQuotient):
+    return [
+        (q.free_monomials(d), {m: q.reduce_monomial(m) for m in monomials_of_degree(q.nvars, d)})
+        for d in range(q.max_degree + 1)
+    ]
+
+
+def _times_var(m, k):
+    return tuple(e + (v == k) for v, e in enumerate(m))
+
+
+def _times_vector(vec, k, lower_free, rows):
+    """x_k times a vector over lower_free, from the rows of the monomials x_k * f."""
+    out = {}
+    for slot, c in vec.items():
+        for s2, c2 in rows(_times_var(lower_free[slot], k)).items():
+            out[s2] = out.get(s2, 0) + c * c2
+    return {s: c for s, c in out.items() if c}
+
+
+def brute_commutes(q: GradedQuotient, d: int) -> bool:
+    """x_j * NF(x_i f) == x_i * NF(x_j f) for every free f of degree d-2 and all i < j."""
+    mid = q.free_monomials(d - 1)
+    nf = q.reduce_monomial
+    return all(
+        _times_vector(nf(_times_var(f, i)), j, mid, nf)
+        == _times_vector(nf(_times_var(f, j)), i, mid, nf)
+        for f in q.free_monomials(d - 2)
+        for j in range(q.nvars)
+        for i in range(j)
+    )
+
+
+@pytest.mark.parametrize("spec", [build_ideal("Rn", n=4), build_ideal("Rmu", mu=(2, 2, 1))])
+def test_certificate_rejects_a_corrupted_table_entry(spec):
+    q = GradedQuotient(spec)
+    rejected = 0
+    for d in range(2, q.max_degree + 1):
+        top = q._by_degree[d]
+        assert q._commutes(top) and brute_commutes(q, d)
+        for m in top.vlist:
+            row = top.red[m]
+            saved = dict(row)
+            row[0] = row.get(0, 0) + 1 or 1  # in place: the shift rows share the dict
+            verdict = q._commutes(top)
+            assert verdict == brute_commutes(q, d), (d, m)
+            rejected += not verdict
+            row.clear()
+            row.update(saved)
+        assert q._commutes(top)
+    assert rejected
+
+
+def test_forced_fallback_rebuilds_from_every_nonfree_monomial():
+    spec = build_ideal("Rmu", mu=(3, 2, 1))
+    border = GradedQuotient(spec)
+    calls = []
+    build_degree = GradedQuotient._build_degree
+
+    def record(self, d, sources):
+        calls.append((d, list(sources)))
+        return build_degree(self, d, sources)
+
+    with patch.object(GradedQuotient, "_build_degree", record):
+        forced = _all_rows_build(spec)
+    assert _full_table(forced) == _full_table(border)
+    top = forced.max_degree + 1
+    assert [fell_back for _, _, fell_back in forced.build_counts] == [False, False] + [True] * (top - 1)
+    assert [d for d, _ in calls] == [1] + [d for d in range(2, top + 1) for _ in (0, 1)]
+    for d, sources in calls[2::2]:
+        free = set(forced.free_monomials(d - 1))
+        assert sources == [m for m in monomials_of_degree(spec.nvars, d - 1) if m not in free]
+    for d, ((rows, _, _), (border_rows, _, _)) in enumerate(
+        zip(forced.build_counts, border.build_counts)
+    ):
+        assert rows >= border_rows, d
+
+
+@pytest.mark.parametrize("case", CORPUS, ids=_corpus_id)
+def test_border_build_matches_all_rows_build(case):
+    family, params = case
+    spec = build_ideal(family, **params)
+    assert _full_table(GradedQuotient(spec)) == _full_table(_all_rows_build(spec))
+
+
+@settings(max_examples=50)
+@given(small_ideals())
+def test_random_ideals_border_build_matches_all_rows_build(spec):
+    assert _full_table(GradedQuotient(spec)) == _full_table(_all_rows_build(spec))
+
+
+@pytest.mark.parametrize(
+    "case", CORPUS + [("Rn", {"n": 6}), ("Rmu", {"mu": (3, 3, 2)})], ids=_corpus_id
+)
+def test_no_degree_falls_back(case):
+    family, params = case
+    q = GradedQuotient(build_ideal(family, **params))
+    assert len(q.build_counts) == q.max_degree + 2  # the last degree built is zero
+    for d, (rows, pivots, fell_back) in enumerate(q.build_counts):
+        assert not fell_back, d
+        assert rows >= pivots
+        if d <= q.max_degree:
+            assert pivots == len(q._by_degree[d].vlist) - q.hilbert[d]
+
+
+@pytest.mark.parametrize("spec", [build_ideal("Rn", n=5), build_ideal("Rmu", mu=(3, 2, 1))])
+def test_lazy_table_matches_eager_fill(spec):
+    q = GradedQuotient(spec)
+    eager = []
+    for d in range(q.max_degree + 1):
+        data = q._by_degree[d]
+        table = {m: dict(data.red[m]) for m in data.vlist}
+        for m in monomials_of_degree(q.nvars, d):
+            if m not in table:
+                i = max(v for v, e in enumerate(m) if e)
+                low = tuple(e - (v == i) for v, e in enumerate(m))
+                table[m] = _times_vector(eager[d - 1][low], i, q.free_monomials(d - 1), table.get)
+        eager.append(table)
+    # read in descending order, so entries are memoised top-down
+    for d in reversed(range(q.max_degree + 1)):
+        for m in reversed(monomials_of_degree(q.nvars, d)):
+            assert q.reduce_monomial(m) == eager[d][m], m
+            assert q.reduce_monomial(m) is q.reduce_monomial(m)  # memoised
