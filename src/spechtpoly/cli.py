@@ -10,6 +10,7 @@ from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 
 from . import __version__
+from .families import FAMILIES, lookup
 from .quotient import (
     almost_lower_triangular,
     build_ideal,
@@ -18,37 +19,18 @@ from .quotient import (
     verify_basis,
 )
 from .specht import build_basis_family, higher_specht
-from .symfunc import (
-    GradedSchurExpansion,
-    graded_frobenius,
-    grfrob_formula_rnk,
-    grfrob_formula_rnkmu,
-    hall_littlewood_cocharge,
-)
-from .tableaux import parse_partition, parse_tableau, partitions
+from .symfunc import GradedSchurExpansion, graded_frobenius, grfrob_formula_rnkmu
+from .tableaux import parse_partition, parse_tableau
 
 
 class UsageError(Exception):
     """Bad parameters; maps to exit code 2."""
 
 
-FAMILIES = ("Rn", "Rnk", "Rnks", "Rmu", "Rnkmu")
-
-_REQUIRED = {
-    "Rn": ("n",),
-    "Rnk": ("n", "k"),
-    "Rnks": ("n", "k", "s"),
-    "Rmu": ("mu",),
-    "Rnkmu": ("n", "k", "mu"),
-}
-
-
 def _resolve_params(family: str, args: argparse.Namespace) -> dict:
     """Collect the flags a family needs into a JSON-safe dict."""
-    if family not in FAMILIES:
-        raise UsageError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
     out: dict = {}
-    for name in _REQUIRED[family]:
+    for name in lookup(FAMILIES, family).params:
         value = getattr(args, name, None)
         if value is None:
             raise UsageError(f"--{name} is required for family {family}")
@@ -56,17 +38,9 @@ def _resolve_params(family: str, args: argparse.Namespace) -> dict:
     return out
 
 
-def _family_kwargs(params: dict) -> dict:
-    kwargs = dict(params)
-    if "mu" in kwargs:
-        kwargs["mu"] = tuple(kwargs["mu"])
-    return kwargs
-
-
 def _verify_report(family: str, params: dict) -> dict:
-    kwargs = _family_kwargs(params)
-    quotient = graded_quotient(build_ideal(family, **kwargs))
-    elements = build_basis_family("B" + family[1:], **kwargs)
+    quotient = graded_quotient(build_ideal(family, **params))
+    elements = build_basis_family(FAMILIES[family].basis, **params)
     return verify_basis(quotient, elements, family_name=family, params=params)
 
 
@@ -79,16 +53,10 @@ def _expansion_payload(exp: GradedSchurExpansion) -> dict:
 
 
 def _formula_expansion(family: str, params: dict) -> GradedSchurExpansion:
-    kwargs = _family_kwargs(params)
-    if family == "Rn":
-        return grfrob_formula_rnk(kwargs["n"], kwargs["n"])
-    if family == "Rnk":
-        return grfrob_formula_rnk(kwargs["n"], kwargs["k"])
-    if family == "Rmu":
-        return hall_littlewood_cocharge(kwargs["mu"])
-    if family == "Rnkmu":
-        return grfrob_formula_rnkmu(kwargs["n"], kwargs["k"], kwargs["mu"])
-    raise UsageError(f"no closed character formula is wired up for family {family}")
+    row = FAMILIES[family]
+    if row.formula is None:
+        raise UsageError(f"no closed character formula is wired up for family {family}")
+    return grfrob_formula_rnkmu(*row.formula(**row.check(params)))
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -121,8 +89,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_frobenius(args: argparse.Namespace) -> int:
     params = _resolve_params(args.family, args)
-    kwargs = _family_kwargs(params)
-    quotient = graded_quotient(build_ideal(args.family, **kwargs))
+    quotient = graded_quotient(build_ideal(args.family, **params))
     computed = graded_frobenius(quotient)
     config = {"family": args.family, "params": params, "compare": args.compare}
     report = _report_skeleton("frobenius", config)
@@ -175,17 +142,12 @@ def cmd_transition(args: argparse.Namespace) -> int:
 
 
 def _is_case(case) -> bool:
-    """A known family whose params are exactly its required ones, with int values."""
-    if not isinstance(case, dict) or case.get("family") not in FAMILIES:
+    """A known family with params that pass its check."""
+    try:
+        FAMILIES[case["family"]].check(case["params"])
+    except (KeyError, TypeError, ValueError):
         return False
-    params = case.get("params")
-    if not isinstance(params, dict) or set(params) != set(_REQUIRED[case["family"]]):
-        return False
-    return all(
-        isinstance(v, list) and all(type(p) is int for p in v) if name == "mu"
-        else type(v) is int
-        for name, v in params.items()
-    )
+    return True
 
 
 def _sweep_cases(args: argparse.Namespace) -> list[dict]:
@@ -201,30 +163,12 @@ def _sweep_cases(args: argparse.Namespace) -> list[dict]:
         return cases
     if args.family is None or args.max_n is None:
         return []
-    cases: list[dict] = []
-    family = args.family
-    for n in range(1, args.max_n + 1):
-        if family == "Rn":
-            cases.append({"family": family, "params": {"n": n}})
-        elif family == "Rnk":
-            for k in range(1, n + 1):
-                cases.append({"family": family, "params": {"n": n, "k": k}})
-        elif family == "Rnks":
-            for k in range(1, n + 1):
-                for s in range(0, k + 1):
-                    cases.append({"family": family, "params": {"n": n, "k": k, "s": s}})
-        elif family == "Rmu":
-            for mu in partitions(n):
-                cases.append({"family": family, "params": {"mu": list(mu)}})
-        elif family == "Rnkmu":
-            if n >= 2:
-                for k in range(1, n + 1):
-                    cases.append(
-                        {"family": family, "params": {"n": n, "k": k, "mu": [n - 1]}}
-                    )
-        else:
-            raise UsageError(f"unknown family {family!r}")
-    return cases
+    row = lookup(FAMILIES, args.family)
+    return [
+        {"family": args.family, "params": params}
+        for n in range(1, args.max_n + 1)
+        for params in row.sweep(n)
+    ]
 
 
 def _run_case(case: dict) -> dict:
@@ -277,7 +221,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_hilbert(args: argparse.Namespace) -> int:
     params = _resolve_params(args.family, args)
-    quotient = graded_quotient(build_ideal(args.family, **_family_kwargs(params)))
+    quotient = graded_quotient(build_ideal(args.family, **params))
     report = _report_skeleton("hilbert", {"family": args.family, "params": params})
     report["hilbert"] = list(quotient.hilbert)
     report["dimension"] = quotient.dimension
@@ -307,7 +251,7 @@ def cmd_specht_eval(args: argparse.Namespace) -> int:
 
 
 def _add_family_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--family", required=True, help="Rn, Rnk, Rnks, Rmu or Rnkmu")
+    sub.add_argument("--family", required=True, help=", ".join(FAMILIES))
     sub.add_argument("--n", type=int)
     sub.add_argument("--k", type=int)
     sub.add_argument("--s", type=int)

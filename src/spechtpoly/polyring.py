@@ -16,14 +16,10 @@ reverse-lexicographic ranking of the variables with xn heaviest.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction as QQ
 from math import gcd, lcm
 from operator import add
 from typing import Iterable, Mapping, Sequence
-
-try:
-    from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as QQ
 
 from .perms import Perm
 

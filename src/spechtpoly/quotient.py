@@ -12,7 +12,6 @@ the table of a monomial outside V is computed when it is first read.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb, gcd
 from typing import Callable, Sequence
@@ -23,20 +22,14 @@ from .polyring import (
     Poly,
     QQ,
     clear_denominators,
-    elementary,
     exact,
     exact_quotient,
     extend_variables,
     monomials_of_degree,
 )
-from .specht import BasisElement, _no_extra, _s_sort_key, build_basis_family
-from .tableaux import (
-    Partition,
-    check_partition,
-    column_excess,
-    last_letter_key,
-    mu_child,
-)
+from .families import FAMILIES, lookup
+from .specht import BasisElement, _s_sort_key, build_basis_family
+from .tableaux import Partition, check_partition, last_letter_key, mu_child
 
 # -- ideal construction ------------------------------------------------------
 
@@ -49,7 +42,6 @@ class IdealSpec:
     generators: tuple[Poly, ...]
     degree_cap: int
     family: str = ""
-    params: tuple[tuple[str, object], ...] = ()
 
     def cache_key(self):
         return (
@@ -59,78 +51,13 @@ class IdealSpec:
         )
 
 
-def _subset_elementary_gens(nvars: int, threshold: Callable[[int], int]) -> list[Poly]:
-    """e_r(S) for every variable subset S and r with threshold(n-|S|) < r <= |S|."""
-    gens: list[Poly] = []
-    for size in range(1, nvars + 1):
-        lo = threshold(nvars - size)
-        if lo >= size:
-            continue
-        for subset in itertools.combinations(range(1, nvars + 1), size):
-            for r in range(max(1, lo + 1), size + 1):
-                gens.append(elementary(r, nvars, subset))
-    return gens
-
-
 def build_ideal(family: str, **params) -> IdealSpec:
-    """Generators for the supported quotient rings.
-
-    family="Rn" (n): full elementary symmetric polynomials e_1..e_n.
-    family="Rnk" (n, k): x_i^k together with e_n, ..., e_{n-k+1}.
-    family="Rnks" (n, k, s): x_i^k together with e_n, ..., e_{n-s+1}.
-    family="Rmu" (mu): subset elementary generators e_r(S) whenever
-        r exceeds the column count c_{n-|S|} of mu.
-    family="Rnkmu" (n, k, mu): x_i^k plus the subset generators with the
-        threshold shifted by n - |mu|.
-    """
-    ps = dict(params)
-    if family == "Rn":
-        n = ps.pop("n")
-        _no_extra(ps)
-        if n < 1:
-            raise ValueError("need n >= 1")
-        gens = [elementary(r, n) for r in range(1, n + 1)]
-        cap = comb(n, 2) + 1
-        meta = (("n", n),)
-    elif family in ("Rnk", "Rnks"):
-        n = ps.pop("n")
-        k = ps.pop("k")
-        s = k if family == "Rnk" else ps.pop("s")
-        _no_extra(ps)
-        if not (0 <= s <= k <= n) or k < 1:
-            raise ValueError("need 1 <= k <= n and 0 <= s <= k")
-        gens = [Poly.variable(i, n) ** k for i in range(1, n + 1)]
-        gens += [elementary(r, n) for r in range(n - s + 1, n + 1)]
-        cap = n * (k - 1) + 1
-        meta = (("n", n), ("k", k)) + ((("s", s),) if family == "Rnks" else ())
-    elif family == "Rmu":
-        mu = check_partition(ps.pop("mu"))
-        _no_extra(ps)
-        n = sum(mu)
-        if n < 1:
-            raise ValueError("mu must be nonempty")
-        gens = _subset_elementary_gens(n, lambda t: column_excess(mu, t))
-        cap = comb(n, 2) + 1
-        meta = (("mu", mu),)
-    elif family == "Rnkmu":
-        n = ps.pop("n")
-        k = ps.pop("k")
-        mu = check_partition(ps.pop("mu"))
-        _no_extra(ps)
-        if sum(mu) > n:
-            raise ValueError("mu must have size at most n")
-        if k < max(1, len(mu)):
-            raise ValueError("need k >= max(1, number of parts of mu)")
-        shift = n - sum(mu)
-        gens = [Poly.variable(i, n) ** k for i in range(1, n + 1)]
-        gens += _subset_elementary_gens(
-            n, lambda t: column_excess(mu, t) + shift
-        )
-        cap = n * (k - 1) + 1
-        meta = (("n", n), ("k", k), ("mu", mu))
-    else:
-        raise ValueError(f"unknown ideal family {family!r}")
-    return IdealSpec(n, tuple(gens), cap, family, meta)
+    """The generators of a ring of the family table (see ``families``)."""
+    row = lookup(FAMILIES, family)
+    nvars, gens, cap = row.ideal(**row.check(params))
+    if nvars < 1:
+        raise ValueError("the ring needs n >= 1 variables")
+    return IdealSpec(nvars, tuple(gens), cap, family)
 
 
 # -- the graded quotient engine ----------------------------------------------

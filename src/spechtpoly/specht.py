@@ -18,20 +18,15 @@ from typing import Callable, Iterable, Sequence
 
 from . import perms
 from ._linalg import solve_in_span
+from .families import BASES, lookup
 from .polyring import Exponent, Poly, clear_denominators, elementary, exact_quotient
 from .tableaux import (
-    Partition,
     Tableau,
-    check_partition,
     cocharge_label_tableau,
     cocharge_labels,
-    descent_stats,
-    enumerate_tableaux,
     format_tableau,
     last_letter_key,
-    partitions,
     reading_word,
-    semistandard_descents,
     standard_tableaux,
 )
 
@@ -328,49 +323,12 @@ def family_sort_key(be: BasisElement):
     )
 
 
-def _bounded_tuples(length: int, bound: int) -> Iterable[tuple[int, ...]]:
-    """All nonnegative integer tuples of the given length with sum < bound."""
-    if bound <= 0:
-        return
-    if length == 0:
-        yield ()
-        return
-    for total in range(bound):
-        for cuts in itertools.combinations(range(total + length - 1), length - 1):
-            prev = -1
-            parts = []
-            for cut in cuts + (total + length - 1,):
-                parts.append(cut - prev - 1)
-                prev = cut
-            yield tuple(parts)
-
-
 def _efactor(exponents: Sequence[int], n: int) -> Poly:
     out = Poly.one(n)
     for j, e in enumerate(exponents, start=1):
         if e:
             out = out * elementary(j, n) ** e
     return out
-
-
-def _pairs_standard(n: int):
-    """(S, fillings): every standard S of size n with the standard T of its shape."""
-    for shape in partitions(n):
-        stds = standard_tableaux(shape)
-        for s in stds:
-            yield s, stds
-
-
-def _pairs_content(mu: Partition):
-    """(S, fillings): every semistandard S of content mu with the standard T of its shape."""
-    n = sum(mu)
-    for shape in partitions(n):
-        semis = enumerate_tableaux(shape, mu, flavor="semistandard")
-        if not semis:
-            continue
-        stds = standard_tableaux(shape)
-        for s in semis:
-            yield s, stds
 
 
 def _family_elements(
@@ -405,64 +363,13 @@ def _family_elements(
 
 
 def build_basis_family(kind: str, *, degree: int | None = None, **params) -> list[BasisElement]:
-    """Construct a spanning family for one of the quotient rings.
+    """The spanning family of a basis of the family table (see ``families``).
 
-    kind="Bn" (params: n): pairs of standard tableaux.
-    kind="Bnk" (n, k): standard pairs times e_1..e_{n-k} monomials with
-        exponent sum below k - des(S).
-    kind="Bnks" (n, k, s): same bound, exponents on e_1..e_{n-s}.
-    kind="Bmu" (mu): semistandard S of content mu against standard T.
-    kind="Bnkmu" (n, k, mu): mu must be the single part (n-1); content
-        (n-1, 1) pairs times powers of e_1 with exponent below k - des(S).
     ``degree`` restricts the family to its elements of that degree; None
     builds every degree.  Elements come back sorted by (degree, S, T,
     exponents).
     """
-    if kind == "Bn":
-        n = params.pop("n")
-        _no_extra(params)
-        out = _family_elements(_pairs_standard(n), n, lambda s: [()], degree)
-    elif kind in ("Bnk", "Bnks"):
-        n = params.pop("n")
-        k = params.pop("k")
-        s_param = k if kind == "Bnk" else params.pop("s")
-        _no_extra(params)
-        if not (0 <= s_param <= k <= n):
-            raise ValueError("need 0 <= s <= k <= n")
-        width = n - s_param
-        out = _family_elements(
-            _pairs_standard(n),
-            n,
-            lambda s: _bounded_tuples(width, k - descent_stats(s).des),
-            degree,
-        )
-    elif kind == "Bmu":
-        mu = check_partition(params.pop("mu"))
-        _no_extra(params)
-        out = _family_elements(_pairs_content(mu), sum(mu), lambda s: [()], degree)
-    elif kind == "Bnkmu":
-        n = params.pop("n")
-        k = params.pop("k")
-        mu = check_partition(params.pop("mu"))
-        _no_extra(params)
-        if mu != (n - 1,):
-            raise ValueError(
-                "this family is defined for the single-part mu = (n-1)"
-            )
-        if not 1 <= k <= n:
-            raise ValueError("need 1 <= k <= n")
-        out = _family_elements(
-            _pairs_content((n - 1, 1)),
-            n,
-            lambda s: [(i,) for i in range(max(0, k - semistandard_descents(s)))],
-            degree,
-        )
-    else:
-        raise ValueError(f"unknown family kind {kind!r}")
+    row = lookup(BASES, kind)
+    out = _family_elements(*row.recipe(**row.check(params)), degree)
     out.sort(key=family_sort_key)
     return out
-
-
-def _no_extra(params: dict) -> None:
-    if params:
-        raise TypeError(f"unexpected parameters: {sorted(params)}")

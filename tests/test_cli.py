@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import os
@@ -17,6 +18,7 @@ except ImportError:  # pragma: no cover
 
 from spechtpoly import cli
 from spechtpoly.cli import main, report_schema
+from spechtpoly.families import BASES, FAMILIES
 from spechtpoly.symfunc import GradedSchurExpansion
 
 needs_jsonschema = pytest.mark.skipif(
@@ -139,7 +141,7 @@ def test_frobenius_compare_rmu(capsys):
 
 def test_frobenius_compare_mismatch_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli, "grfrob_formula_rnk", lambda n, k: GradedSchurExpansion(n)
+        cli, "grfrob_formula_rnkmu", lambda n, k, mu: GradedSchurExpansion(n)
     )
     code, report = run_json(
         capsys,
@@ -414,6 +416,114 @@ def test_output_flag_writes_file(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["hilbert"] == [1, 2, 2, 1]
+
+
+# -- the family table -------------------------------------------------------------
+
+FLAG_VALUES = {"n": "3", "k": "2", "s": "1", "mu": "2,1"}
+
+# The cases of `sweep --family F --max-n 4` as the per-family if/elif ladder
+# that the table replaced generated them: (param names, value tuples).
+SWEEP_MAX_N_4 = {
+    "Rn": (("n",), [(1,), (2,), (3,), (4,)]),
+    "Rnk": (
+        ("n", "k"),
+        [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3), (4, 4)],
+    ),
+    "Rnks": (
+        ("n", "k", "s"),
+        [
+            (1, 1, 0), (1, 1, 1), (2, 1, 0), (2, 1, 1), (2, 2, 0), (2, 2, 1), (2, 2, 2),
+            (3, 1, 0), (3, 1, 1), (3, 2, 0), (3, 2, 1), (3, 2, 2), (3, 3, 0), (3, 3, 1),
+            (3, 3, 2), (3, 3, 3), (4, 1, 0), (4, 1, 1), (4, 2, 0), (4, 2, 1), (4, 2, 2),
+            (4, 3, 0), (4, 3, 1), (4, 3, 2), (4, 3, 3), (4, 4, 0), (4, 4, 1), (4, 4, 2),
+            (4, 4, 3), (4, 4, 4),
+        ],
+    ),
+    "Rmu": (
+        ("mu",),
+        [
+            ([1],), ([2],), ([1, 1],), ([3],), ([2, 1],), ([1, 1, 1],), ([4],), ([3, 1],),
+            ([2, 2],), ([2, 1, 1],), ([1, 1, 1, 1],),
+        ],
+    ),
+    "Rnkmu": (
+        ("n", "k", "mu"),
+        [
+            (2, 1, [1]), (2, 2, [1]), (3, 1, [2]), (3, 2, [2]), (3, 3, [2]), (4, 1, [3]),
+            (4, 2, [3]), (4, 3, [3]), (4, 4, [3]),
+        ],
+    ),
+}
+
+
+def _family_flags(family, skip=None):
+    return [
+        arg
+        for name in FAMILIES[family].params
+        if name != skip
+        for arg in (f"--{name}", FLAG_VALUES[name])
+    ]
+
+
+@pytest.mark.parametrize(
+    "family, missing", [(f, name) for f, row in FAMILIES.items() for name in row.params]
+)
+def test_each_required_flag_is_a_usage_error(capsys, family, missing):
+    code = main(["verify", "--family", family] + _family_flags(family, skip=missing))
+    assert code == 2
+    assert f"--{missing} is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_sweep_cases_match_the_frozen_lists(capsys, monkeypatch, family):
+    names, values = SWEEP_MAX_N_4[family]
+    monkeypatch.setattr(cli, "_run_case", lambda case: {**case, "verdict": True})
+    code, report = run_json(capsys, ["sweep", "--family", family, "--max-n", "4"])
+    assert code == 0
+    assert report["config"]["cases"] == [
+        {"family": family, "params": dict(zip(names, v))} for v in values
+    ]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_compare_follows_the_formula_column(capsys, family):
+    code = main(["frobenius", "--family", family, "--compare"] + _family_flags(family))
+    captured = capsys.readouterr()
+    if FAMILIES[family].formula is None:
+        assert code == 2
+        assert "no closed character formula" in captured.err
+    else:
+        assert code == 0
+        assert json.loads(captured.out)["equal"] is True
+
+
+def _str_constants(node):
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        yield node.value
+    elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        for elt in node.elts:
+            yield from _str_constants(elt)
+
+
+def test_family_names_are_compared_only_in_the_table():
+    """No ``==``/``in`` test against a ring or basis name outside families.py,
+    so per-family if/elif ladders cannot come back."""
+    names = set(FAMILIES) | set(BASES)
+    equality = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
+    offenders = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        if path.name == "families.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Compare):
+                continue
+            if not any(isinstance(op, equality) for op in node.ops):
+                continue
+            for side in (node.left, *node.comparators):
+                if names.intersection(_str_constants(side)):
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 # -- misc -------------------------------------------------------------------------

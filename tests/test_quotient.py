@@ -167,6 +167,32 @@ def test_build_ideal_validation():
         build_ideal("Elsewhere", n=3)
     with pytest.raises(TypeError):
         build_ideal("Rn", n=3, k=1)  # stray parameter
+    with pytest.raises(TypeError):
+        build_ideal("Rnk", n=3)  # missing parameter
+    with pytest.raises(TypeError):
+        build_ideal("Rn", n=3.0)  # not an int
+    with pytest.raises(TypeError):
+        build_ideal("Rmu", mu=(2, "1"))  # a part that is not an int
+
+
+@pytest.mark.parametrize(
+    "ring, basis, params",
+    [("Rnk", "Bnk", {"n": 3, "k": 0}), ("Rnks", "Bnks", {"n": 3, "k": 0, "s": 0})],
+)
+def test_ring_and_basis_share_one_check(ring, basis, params):
+    with pytest.raises(ValueError):
+        build_ideal(ring, **params)
+    with pytest.raises(ValueError):
+        build_basis_family(basis, **params)
+
+
+def test_empty_partition_has_a_basis_but_no_ring():
+    # gp_recursion_family needs the family of mu = (), the child of mu = (1,)
+    (one,) = build_basis_family("Bmu", mu=())
+    assert one.poly == Poly.one(0) and one.degree == 0
+    for family, params in (("Rmu", {"mu": ()}), ("Rn", {"n": 0}), ("Rnkmu", {"n": 0, "k": 1, "mu": ()})):
+        with pytest.raises(ValueError):
+            build_ideal(family, **params)
 
 
 def test_quotient_rejects_bad_generators():

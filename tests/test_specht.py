@@ -496,8 +496,8 @@ def test_family_validation():
         build_basis_family("Bnks", n=3, k=2, s=3)  # s > k
     with pytest.raises(ValueError):
         build_basis_family("Bnks", n=3, k=2, s=-1)  # s >= 0
-    # k = 0 is a degenerate but valid corner: the family is empty (0^n = 0)
-    assert build_basis_family("Bnks", n=3, k=0, s=0) == []
+    with pytest.raises(ValueError):
+        build_basis_family("Bnks", n=3, k=0, s=0)  # k >= 1, as for the ring
     with pytest.raises(ValueError):
         build_basis_family("Bnkmu", n=4, k=2, mu=(2, 1))  # mu must be (n-1,)
     with pytest.raises(TypeError):

@@ -237,6 +237,23 @@ def test_formula_rnkmu_matches_quotient():
                     assert a.coeffs == b.coeffs, (n, k, mu)
 
 
+def _same_expansion(a, b) -> bool:
+    """Equal as data and in every rendering a report prints."""
+    return (a.coeffs, a.to_jsonable(), str(a), a.hilbert()) == (
+        b.coeffs, b.to_jsonable(), str(b), b.hilbert()
+    )
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_formula_rnkmu_specialises_to_rnk_and_rmu(n):
+    """R_{n,k} = R_{n,k,(1^k)} and R_mu = R_{|mu|,l(mu),mu}: the family table
+    evaluates the closed formula of R_n, R_{n,k} and R_mu through Griffin's."""
+    for k in range(1, n + 1):
+        assert _same_expansion(grfrob_formula_rnk(n, k), grfrob_formula_rnkmu(n, k, (1,) * k))
+    for mu in partitions(n):
+        assert _same_expansion(hall_littlewood_cocharge(mu), grfrob_formula_rnkmu(n, len(mu), mu))
+
+
 def test_formula_rnkmu_hook_display():
     """For mu = (n-1) the character collapses to
     q^(k-1) H[(n)] + (1 + q + ... + q^(k-2)) H[(n-1,1)]."""
