@@ -1,4 +1,4 @@
-"""Small exact linear algebra over Q: fraction-free leftmost-pivot RREF and a certified rank."""
+"""Small exact linear algebra over Q: one fraction-free echelon and a certified rank."""
 
 from __future__ import annotations
 
@@ -13,69 +13,137 @@ Vector = list
 Matrix = list
 
 
-def _primitive(row: list[int]) -> list[int]:
-    g = gcd(*row)
-    return row if g in (0, 1) else [v // g for v in row]
-
-
 def _integral_row(row: Vector) -> list[int]:
     """The row times the lcm of its denominators, divided by its content."""
-    scale = lcm(*(int(x.denominator) for x in row))
-    return _primitive([int(x.numerator) * (scale // int(x.denominator)) for x in row])
+    scale = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (scale // x.denominator) for x in row]
+    g = gcd(*ints)
+    return ints if g in (0, 1) else [v // g for v in ints]
 
 
-def _cancel(row: list[int], pcol: int, prow: list[int]) -> list[int]:
-    """An integer multiple of row minus a multiple of prow with a zero at pcol.
+def _sparse(row: Vector) -> dict[int, int]:
+    """The zero-free dict form of ``_integral_row(row)`` that ``Echelon.insert`` takes."""
+    return {j: v for j, v in enumerate(_integral_row(row)) if v}
 
-    The multiples are the gcd cofactors of the two entries at pcol, so no
-    division is needed (Bareiss 1968).
+
+class Echelon:
+    """The reduced row echelon form of the rows inserted so far, kept in ints.
+
+    A pivot row is a positive integer ``lead[p]`` at its pivot column p
+    plus ``tail[p]``, its entries in the non-pivot columns, with the
+    content of the whole row divided out.  No pivot column appears in any
+    tail, so row p of the reduced row echelon form over Q is 1 at p and
+    ``tail[p][c] / lead[p]`` at c.  A row is eliminated by
+    cross-multiplying with gcd cofactors instead of dividing by the pivot
+    (Bareiss 1968); a new pivot is eliminated from the tails that hold its
+    column (``_owners``), which keeps the form reduced.
     """
-    lead = prow[pcol]
-    g = gcd(row[pcol], lead)
-    a, b = lead // g, row[pcol] // g
-    if a == 1:
-        return [x - b * y for x, y in zip(row, prow)]
-    return [a * x - b * y for x, y in zip(row, prow)]
 
+    __slots__ = ("lead", "tail", "_owners")
 
-def _reduce(row: list[int], pivots) -> list[int]:
-    """Cancel row at each (pivot column, pivot row) in turn, fraction-free."""
-    for pcol, prow in pivots:
-        if row[pcol]:
-            row = _cancel(row, pcol, prow)
-    return row
+    def __init__(self) -> None:
+        self.lead: dict[int, int] = {}
+        self.tail: dict[int, dict[int, int]] = {}
+        self._owners: dict[int, set[int]] = {}
+
+    def insert(self, acc: dict[int, int]) -> bool:
+        """Reduce a sparse integer row with no zero entries; whether it added a pivot.
+
+        The row is consumed: it is reduced in place and may become a tail.
+        """
+        pivot_lead, pivot_tail, owners = self.lead, self.tail, self._owners
+        for c in sorted(acc):
+            coeff = acc.get(c)
+            if not coeff:
+                continue
+            tail = pivot_tail.get(c)
+            if tail is None:
+                continue
+            del acc[c]
+            lead = pivot_lead[c]
+            if lead != 1:
+                g = gcd(coeff, lead)
+                scale = lead // g
+                coeff //= g
+                if scale != 1:
+                    for col in acc:
+                        acc[col] *= scale
+            for col, v in tail.items():
+                nv = acc.get(col, 0) - coeff * v
+                if nv:
+                    acc[col] = nv
+                else:
+                    del acc[col]
+        if not acc:
+            return False
+        p = min(acc)
+        lead = acc.pop(p)
+        g = gcd(lead, *acc.values())
+        if lead < 0:
+            g = -g  # a positive lead keeps the cofactor scale at 1 for unit pivots
+        if g != 1:
+            lead //= g
+            for c in acc:
+                acc[c] //= g
+        tail = acc
+        for q in list(owners.get(p, ())):
+            qtail = pivot_tail[q]
+            coeff = qtail.pop(p)
+            owners[p].discard(q)
+            qlead = pivot_lead[q]
+            if lead != 1:
+                g = gcd(coeff, lead)
+                scale = lead // g
+                coeff //= g
+                if scale != 1:
+                    qlead *= scale
+                    for c in qtail:
+                        qtail[c] *= scale
+            for c, v in tail.items():
+                cur = qtail.get(c)
+                nv = (0 if cur is None else cur) - coeff * v
+                if nv:
+                    if cur is None:
+                        owners.setdefault(c, set()).add(q)
+                    qtail[c] = nv
+                elif cur is not None:
+                    del qtail[c]
+                    owners[c].discard(q)
+            g = gcd(qlead, *qtail.values())
+            if g != 1:
+                qlead //= g
+                for c in qtail:
+                    qtail[c] //= g
+            pivot_lead[q] = qlead
+        pivot_lead[p] = lead
+        pivot_tail[p] = tail
+        for c in tail:
+            owners.setdefault(c, set()).add(p)
+        return True
 
 
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (reduced nonzero rows, pivot columns).
 
-    Entries may be ints or QQ.  Elimination is fraction-free over the
-    rows scaled to primitive integers: every kept row is an integer
-    multiple of its reduced row, with a positive entry at its pivot, and
-    is divided by that entry only when the result is emitted.  The RREF
-    of a matrix is unique, so this equals elimination over Q.
+    Entries may be ints or QQ.  The rows, scaled to primitive integers,
+    go through one ``Echelon``, and each pivot row is divided by its lead
+    only when it is emitted.  The RREF of a matrix is unique, so this
+    equals elimination over Q.
     """
     ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    reduced: list[list[int]] = []
-    for row in map(_integral_row, rows):
-        row = _reduce(row, zip(pivots, reduced))
-        lead = next((j for j in range(ncols) if row[j]), None)
-        if lead is None:
-            continue
-        row = _primitive(row if row[lead] > 0 else [-v for v in row])
-        # back-eliminate the new pivot from earlier rows
-        for idx, prow in enumerate(reduced):
-            if prow[lead]:
-                reduced[idx] = _primitive(_cancel(prow, lead, row))
-        # keep rows ordered by pivot column
-        at = next((idx for idx, pc in enumerate(pivots) if pc > lead), len(pivots))
-        reduced.insert(at, row)
-        pivots.insert(at, lead)
-    return [
-        [QQ(v, prow[pcol]) if v else _ZERO for v in prow]
-        for prow, pcol in zip(reduced, pivots)
-    ], pivots
+    ech = Echelon()
+    for row in rows:
+        ech.insert(_sparse(row))
+    pivots = sorted(ech.lead)
+    reduced: Matrix = []
+    for p in pivots:
+        out = [_ZERO] * ncols
+        out[p] = _ONE
+        lead = ech.lead[p]
+        for c, v in ech.tail[p].items():
+            out[c] = QQ(v, lead)
+        reduced.append(out)
+    return reduced, pivots
 
 
 def kernel_basis(rows: Matrix, ncols: int) -> Matrix:
@@ -146,7 +214,7 @@ def dependent_rows(rows: Matrix) -> list[int]:
         residues = [
             [
                 x % _P if type(x) is int
-                else int(x.numerator) * pow(int(x.denominator), -1, _P) % _P
+                else x.numerator * pow(x.denominator, -1, _P) % _P
                 for x in row
             ]
             for row in rows
@@ -162,21 +230,13 @@ def _eliminate(rows: Matrix, p: int) -> list[int]:
     """Leftmost-pivot elimination; positions of the dependent rows.
 
     Over F_p on rows of ints, which are reduced mod p only where a value is
-    read, with sparse monic pivot rows.  When p is 0, over Q: fraction-free
-    on the rows scaled to primitive integers, as in ``rref`` but forward
-    only.
+    read, with sparse monic pivot rows.  When p is 0, over Q: the rows
+    scaled to primitive integers go through one ``Echelon``.
     """
-    dependent: list[int] = []
     if not p:
-        reduced: list[tuple[int, list[int]]] = []
-        for pos, row in enumerate(map(_integral_row, rows)):
-            row = _reduce(row, reduced)
-            lead = next((j for j, v in enumerate(row) if v), None)
-            if lead is None:
-                dependent.append(pos)
-            else:
-                reduced.append((lead, _primitive(row)))
-        return dependent
+        ech = Echelon()
+        return [pos for pos, row in enumerate(rows) if not ech.insert(_sparse(row))]
+    dependent: list[int] = []
     pivots: list[tuple[int, list[tuple[int, int]]]] = []
     for pos, row in enumerate(rows):
         for pcol, prow in pivots:

@@ -152,8 +152,11 @@ def _is_case(case) -> bool:
 
 def _sweep_cases(args: argparse.Namespace) -> list[dict]:
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise UsageError(f"cannot read the sweep config: {exc}") from exc
         cases = data.get("cases", []) if isinstance(data, dict) else None
         if not isinstance(cases, list):
             raise UsageError("a sweep config is a JSON object with a list of cases")

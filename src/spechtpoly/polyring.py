@@ -32,7 +32,7 @@ def exact(c):
         return c
     if type(c) is not QQ:
         c = QQ(c)
-    return int(c.numerator) if c.denominator == 1 else c
+    return c.numerator if c.denominator == 1 else c
 
 
 def exact_quotient(num: int, den: int):
@@ -248,8 +248,8 @@ class Poly:
         """(numerator, denominator) of the content; (1, 1) for the zero polynomial."""
         if not self.terms:
             return 1, 1
-        num = gcd(*(int(c.numerator) for c in self.terms.values()))
-        den = lcm(*(int(c.denominator) for c in self.terms.values()))
+        num = gcd(*(c.numerator for c in self.terms.values()))
+        den = lcm(*(c.denominator for c in self.terms.values()))
         return num, den
 
     def primitive_part(self) -> "Poly":
@@ -257,20 +257,14 @@ class Poly:
         num, den = self._content()
         return Poly._raw(
             self.nvars,
-            {
-                e: int(c.numerator) * (den // int(c.denominator)) // num
-                for e, c in self.terms.items()
-            },
+            {e: c.numerator * (den // c.denominator) // num for e, c in self.terms.items()},
         )
 
     def canonical_key(self):
         """Hashable exact fingerprint, used for caching."""
         return (
             self.nvars,
-            tuple(
-                (e, (int(c.numerator), int(c.denominator)))
-                for e, c in self.sorted_terms()
-            ),
+            tuple((e, (c.numerator, c.denominator)) for e, c in self.sorted_terms()),
         )
 
     # -- rendering ----------------------------------------------------------
@@ -393,8 +387,8 @@ def extend_variables(p: Poly, nvars: int) -> Poly:
 
 def clear_denominators(terms: Mapping) -> tuple[dict, int]:
     """(ints, scale) with terms = ints / scale, where scale is the lcm of the denominators."""
-    scale = lcm(*(int(c.denominator) for c in terms.values()))
-    ints = {key: int(c.numerator) * (scale // int(c.denominator)) for key, c in terms.items()}
+    scale = lcm(*(c.denominator for c in terms.values()))
+    ints = {key: c.numerator * (scale // c.denominator) for key, c in terms.items()}
     return ints, scale
 
 

@@ -13,10 +13,10 @@ the table of a monomial outside V is computed when it is first read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb
 from typing import Callable, Sequence
 
-from ._linalg import _integral_row, dependent_rows, kernel_basis, solve_in_span
+from ._linalg import Echelon, _integral_row, dependent_rows, kernel_basis, solve_in_span
 from .polyring import (
     Exponent,
     Poly,
@@ -194,19 +194,12 @@ class GradedQuotient:
         return True
 
     def _build_degree(self, d: int, sources: list[Exponent]) -> tuple[_DegreeData, int]:
-        """Fraction-free elimination of the degree-d relations over V-coordinates.
+        """Eliminate the degree-d relations over V-coordinates in one ``Echelon``.
 
         The rows are the generators of degree d, then x_i * (m - NF(m)) for
-        each source monomial m of degree d-1; returns the degree and the
-        number of rows inserted.  Rows are integer vectors; a row built
-        from a previous degree whose table holds a QQ has its denominators
-        cleared first.  A pivot row is kept as a positive integer ``lead``
-        at its pivot column plus a tail over the non-pivot columns, with
-        the content of the whole row divided out; it is reduced (no pivot
-        column appears in any tail), so the table entries ``-tail / lead``
-        are the reduced row echelon form over Q.  A row is eliminated by
-        cross-multiplying with gcd cofactors instead of dividing by the
-        pivot (Bareiss 1968).
+        each source monomial m of degree d-1, with denominators cleared when
+        a lower degree's table holds a QQ; the table entries are
+        ``-tail / lead``.  Returns the degree and the number of rows inserted.
         """
         n = self.nvars
         prev = self._by_degree[d - 1]
@@ -216,83 +209,13 @@ class GradedQuotient:
             [vindex[_bump(f, i)] for f in prev.free] for i in range(n)
         ]
 
-        pivot_lead: dict[int, int] = {}
-        pivot_tail: dict[int, dict[int, int]] = {}
-        owners: dict[int, set[int]] = {}
+        ech = Echelon()
         rows = 0
 
-        def insert_row(acc: dict[int, object]) -> None:
+        def add_row(acc: dict[int, object]) -> None:
             nonlocal rows
             rows += 1
-            if not prev.integral:
-                acc = clear_denominators(acc)[0]
-            for c in sorted(acc):
-                coeff = acc.get(c)
-                if not coeff:
-                    continue
-                tail = pivot_tail.get(c)
-                if tail is None:
-                    continue
-                del acc[c]
-                lead = pivot_lead[c]
-                if lead != 1:
-                    g = gcd(coeff, lead)
-                    scale = lead // g
-                    coeff //= g
-                    if scale != 1:
-                        for col in acc:
-                            acc[col] *= scale
-                for col, v in tail.items():
-                    nv = acc.get(col, 0) - coeff * v
-                    if nv:
-                        acc[col] = nv
-                    else:
-                        del acc[col]
-            if not acc:
-                return
-            p = min(acc)
-            lead = acc.pop(p)
-            g = gcd(lead, *acc.values())
-            if lead < 0:
-                g = -g  # a positive lead keeps the cofactor scale at 1 for unit pivots
-            if g != 1:
-                lead //= g
-                for c in acc:
-                    acc[c] //= g
-            tail = acc
-            for q in list(owners.get(p, ())):
-                qtail = pivot_tail[q]
-                coeff = qtail.pop(p)
-                owners[p].discard(q)
-                qlead = pivot_lead[q]
-                if lead != 1:
-                    g = gcd(coeff, lead)
-                    scale = lead // g
-                    coeff //= g
-                    if scale != 1:
-                        qlead *= scale
-                        for c in qtail:
-                            qtail[c] *= scale
-                for c, v in tail.items():
-                    cur = qtail.get(c)
-                    nv = (0 if cur is None else cur) - coeff * v
-                    if nv:
-                        if cur is None:
-                            owners.setdefault(c, set()).add(q)
-                        qtail[c] = nv
-                    elif cur is not None:
-                        del qtail[c]
-                        owners[c].discard(q)
-                g = gcd(qlead, *qtail.values())
-                if g != 1:
-                    qlead //= g
-                    for c in qtail:
-                        qtail[c] //= g
-                pivot_lead[q] = qlead
-            pivot_lead[p] = lead
-            pivot_tail[p] = tail
-            for c in tail:
-                owners.setdefault(c, set()).add(p)
+            ech.insert(acc if prev.integral else clear_denominators(acc)[0])
 
         def route(acc: dict[int, object], m: Exponent, coeff) -> None:
             pos = vindex.get(m)
@@ -317,7 +240,7 @@ class GradedQuotient:
             acc: dict[int, object] = {}
             for exp, coeff in terms.items():
                 route(acc, exp, coeff)
-            insert_row(acc)
+            add_row(acc)
 
         for m in sources:
             redm = prev.normal_form(m)
@@ -341,19 +264,19 @@ class GradedQuotient:
                     else:
                         del acc[col]
                 if acc:
-                    insert_row(acc)
+                    add_row(acc)
 
-        free = [m for pos, m in enumerate(vlist) if pos not in pivot_tail]
+        free = [m for pos, m in enumerate(vlist) if pos not in ech.tail]
         free_index = {m: slot for slot, m in enumerate(free)}
         slot_of_pos = {vindex[m]: slot for slot, m in enumerate(free)}
 
         red: dict[Exponent, dict[int, object]] = {}
         for pos, m in enumerate(vlist):
-            tail = pivot_tail.get(pos)
+            tail = ech.tail.get(pos)
             if tail is None:
                 red[m] = {slot_of_pos[pos]: 1}
             else:
-                lead = pivot_lead[pos]
+                lead = ech.lead[pos]
                 red[m] = {slot_of_pos[c]: exact_quotient(-v, lead) for c, v in tail.items()}
         # an entry outside V is a product of V entries of this and lower degrees
         integral = prev.integral and all(
@@ -632,19 +555,6 @@ def transition_matrix(
     return TransitionResult(matrix, rows, cols, mu, d, normalize)
 
 
-def _primitive_vector(vec: list) -> list:
-    num = 0
-    den = 1
-    for v in vec:
-        num = gcd(num, abs(int(v.numerator)))
-        dd = int(v.denominator)
-        den = den * dd // gcd(den, dd)
-    if num == 0:
-        return list(vec)
-    scale = QQ(den, num)
-    return [v * scale for v in vec]
-
-
 def almost_lower_triangular(matrix: list[list]) -> tuple[bool, list[list] | None]:
     """Find upper triangular A with M*A lower triangular and nonzero diagonal.
 
@@ -667,16 +577,15 @@ def almost_lower_triangular(matrix: list[list]) -> tuple[bool, list[list] | None
                 break
         if pick is None:
             return False, None
-        pick = _primitive_vector(pick)
+        pick = _integral_row(pick)
         cols_a.append(pick + [0] * (t - j - 1))
     witness = [[cols_a[j][i] for j in range(t)] for i in range(t)]
     # internal sanity: M * A really is lower triangular with nonzero diagonal,
     # checked in ints: A is integral, and scaling a row of M to integers keeps
     # every zero and nonzero entry of the product
-    int_witness = [[int(v) for v in row] for row in witness]
     for i, row in enumerate(map(_integral_row, matrix)):
         for j in range(i, t):
-            entry = sum(row[c] * int_witness[c][j] for c in range(t))
+            entry = sum(row[c] * witness[c][j] for c in range(t))
             if j > i and entry:
                 raise AssertionError("witness failed above the diagonal")
             if j == i and not entry:

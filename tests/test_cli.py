@@ -307,6 +307,16 @@ def test_sweep_config_malformed(tmp_path, capsys):
     assert "malformed sweep case" in captured.err
 
 
+@pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+def test_sweep_config_unreadable(tmp_path, capsys, name):
+    code = main(["sweep", "--config", str(tmp_path / name)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "cannot read the sweep config" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "config",
     [

@@ -1,12 +1,13 @@
 """The exact kernels of ``_linalg`` and the use of the rank in verify_basis.
 
-``rref`` eliminates fraction-free over integers; it is checked against the
-dense rational elimination it replaced (kept here as the reference) and
-against sympy when it is installed.  ``dependent_rows`` eliminates modulo a
-word-size prime first and falls back to exact rationals when that cannot
-certify independence.  These tests pin the fallback triggers and compare
-every rank it reports against exact elimination by ``rref`` (and against
-sympy).
+``rref`` and the exact pass of ``dependent_rows`` run on one fraction-free
+``Echelon`` over integers; both are checked against a dense rational
+elimination kept here as the reference, which shares no code with
+``_linalg``, and against sympy when it is installed.  ``dependent_rows``
+eliminates modulo a word-size prime first and falls back to exact
+rationals when that cannot certify independence.  These tests pin the
+fallback triggers and compare every rank it reports against the reference
+(and against sympy).
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def reference_rref(rows):
 
 
 def exact_rank(rows) -> int:
-    return len(rref(rows)[1])
+    return len(reference_rref(rows)[1])
 
 
 def prefix_dependent(rows) -> list[int]:
@@ -157,6 +158,32 @@ def matrices(draw):
             extra = [factor * x for x in source]
         rows.insert(draw(st.integers(0, len(rows))), extra)
     return rows
+
+
+@given(matrices())
+def test_exact_pass_matches_rational_reference(rows):
+    copy = [list(row) for row in rows]
+    assert _eliminate(rows, 0) == prefix_dependent(rows)
+    assert rows == copy
+
+
+def test_exact_pass_zero_entries_and_zero_rows():
+    # int and QQ zeros never reach the echelon as entries
+    assert _eliminate([[0, 2, 0], [0, 0, 0], [0, 4, 0], [1, 0, 0]], 0) == [1, 2]
+    assert _eliminate([[0, 0], [QQ(0), QQ(0)]], 0) == [0, 1]
+    assert _eliminate([[0, QQ(1, 2), 0], [3, 0, 0], [3, QQ(1), 0]], 0) == [2]
+    assert _eliminate([[1, 0, 0], [0, 0, 1], [0, -2, 0], [0, 0, 0]], 0) == [3]
+
+
+def test_echelon_holds_the_reduced_form():
+    ech = _linalg.Echelon()
+    assert ech.insert({1: 2, 2: -4})
+    assert (ech.lead, ech.tail) == ({1: 1}, {1: {2: -2}})
+    assert ech.insert({0: -3, 2: 6, 3: 9})
+    assert ech.insert({2: 6})  # back-eliminates column 2 from both tails
+    assert (ech.lead, ech.tail) == ({0: 1, 1: 1, 2: 1}, {0: {3: -3}, 1: {}, 2: {}})
+    assert not ech.insert({0: 2, 3: -6})
+    assert not ech.insert({})
 
 
 @given(matrices())
