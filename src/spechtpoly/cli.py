@@ -104,15 +104,11 @@ def cmd_frobenius(args: argparse.Namespace) -> int:
     return code
 
 
-def _format_entry(value) -> str:
-    return str(value)
-
-
 def cmd_transition(args: argparse.Namespace) -> int:
     mu = tuple(args.mu)
     result = transition_matrix(mu, args.d, normalize=args.normalize)
     verdict, witness = almost_lower_triangular(result.matrix)
-    matrix = [[_format_entry(v) for v in row] for row in result.matrix]
+    matrix = [[str(v) for v in row] for row in result.matrix]
     labels = {
         "rows": [be.label() for be in result.rows],
         "cols": [be.label() for be in result.cols],
@@ -127,7 +123,7 @@ def cmd_transition(args: argparse.Namespace) -> int:
         sidecar.update(labels)
         sidecar["almost_lower_triangular"] = verdict
         if witness is not None:
-            sidecar["witness"] = [[_format_entry(v) for v in row] for row in witness]
+            sidecar["witness"] = [[str(v) for v in row] for row in witness]
         _json_report(sidecar, args.output + ".labels.json")
     else:
         report = _report_skeleton("transition", config)
@@ -135,7 +131,7 @@ def cmd_transition(args: argparse.Namespace) -> int:
         report.update(labels)
         report["almost_lower_triangular"] = verdict
         report["witness"] = (
-            None if witness is None else [[_format_entry(v) for v in row] for row in witness]
+            None if witness is None else [[str(v) for v in row] for row in witness]
         )
         _json_report(report, args.output)
     return 0 if verdict else 1
@@ -151,6 +147,11 @@ def _is_case(case) -> bool:
 
 
 def _sweep_cases(args: argparse.Namespace) -> list[dict]:
+    flags = (args.family is not None) + (args.max_n is not None)
+    if flags == 1 or (flags and args.config is not None):
+        raise UsageError("sweep takes --family with --max-n, or --config alone")
+    if args.max_n is not None and args.max_n < 1:
+        raise UsageError("--max-n must be at least 1")
     if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -164,7 +165,7 @@ def _sweep_cases(args: argparse.Namespace) -> list[dict]:
             if not _is_case(case):
                 raise UsageError(f"malformed sweep case: {case!r}")
         return cases
-    if args.family is None or args.max_n is None:
+    if args.family is None:
         return []
     row = lookup(FAMILIES, args.family)
     return [
@@ -328,10 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

@@ -5,9 +5,9 @@ if F is the set of monomials spanning the quotient in degree d-1, every
 degree-d monomial reduces (modulo the ideal) into the span of
 V = {x_i * f : f in F}, and the ideal's new relations are the shifted
 reductions of the previous degree's border monomials (V minus F) plus any
-generators of degree d, certified by the commutation of the
-multiplication maps.  Row reduction happens over V-coordinates only, and
-the table of a monomial outside V is computed when it is first read.
+generators of degree d; ``GradedQuotient._build`` proves that these rows
+suffice.  Row reduction happens over V-coordinates only, and the table of
+a monomial outside V is computed when it is first read.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .polyring import (
     exact,
     exact_quotient,
     extend_variables,
-    monomials_of_degree,
 )
 from .families import FAMILIES, lookup
 from .specht import BasisElement, _s_sort_key, build_basis_family
@@ -113,7 +112,7 @@ class _DegreeData:
 class GradedQuotient:
     """Exact graded structure of Q[x1..xn] modulo a homogeneous ideal.
 
-    ``build_counts[d]`` is (rows inserted, pivots, fell back) for degree d.
+    ``build_counts[d]`` is (rows inserted, pivots) for degree d.
     """
 
     def __init__(self, spec: IdealSpec):
@@ -130,68 +129,51 @@ class GradedQuotient:
                 raise ValueError("a nonzero constant generator makes the quotient zero")
             self._gens_by_degree.setdefault(d, []).append(clear_denominators(g.terms)[0])
         self._by_degree: list[_DegreeData] = []
-        self.build_counts: list[tuple[int, int, bool]] = []
+        self.build_counts: list[tuple[int, int]] = []
         self._build()
 
     # -- construction --------------------------------------------------------
 
     def _build(self) -> None:
-        """Build degree by degree from border rows, certified by commutation.
+        """Build degree by degree from the generator rows and the border rows.
 
-        Degree d is first built from the rows of the border monomials only
-        (the non-free monomials of the previous degree's V-set).  If the
-        multiplication maps x_i: degree d-1 -> degree d then commute on
-        degree d-2, the free sets carry a cyclic Q[x]-module whose
-        annihilator J contains every generator (its row was inserted) and
-        lies in the ideal I (every row does), so J = I up to degree d and
-        the table is exact (Mourrain 1999; Kehrein, Kreuzer & Robbiano
-        2005).  Otherwise the degree is rebuilt from every non-free
-        monomial of degree d-1, whose rows alone span x * I_{d-1}.
+        Degree d inserts the generators of degree d and x_i * b_m, with
+        b_m = m - NF(m), for the border monomials m of degree d-1 (the
+        non-free monomials of the previous degree's V-set).  These rows
+        suffice, by induction on d (the border-basis setting of Kehrein,
+        Kreuzer & Robbiano 2005).  Let the tables below d be exact and phi
+        the map into V-coordinates that ``route`` and ``normal_form``
+        implement: phi(u) = x_j * NF(u / x_j) for u outside V, with
+        j = maxindex(u).  Then phi(p) = p modulo I, and I_d is spanned by
+        gens_d and the x_i * b_m for all non-free m of degree d-1, so it is
+        enough that each phi(x_i * b_m) lies in the span of the rows:
+
+        - m border: phi(x_i * b_m) is the row of m; a row skipped
+          (x_i * m outside V and i >= maxindex(m)) is zero.
+        - m = x_j * m' interior, j = maxindex(m): x_i * m is interior too,
+          as the free sets are closed under division.  For i >= j,
+          phi(x_i * b_m) = 0.  For i < j and NF(m') = sum c_f f,
+          phi(x_i * b_m) = sum c_f [phi(x_i * b_{x_j f}) - phi(x_j * b_{x_i f})],
+          differences of border rows (zero where the monomial is free).
+
+        A pivot is the leftmost column of the ascending ``vlist``, the
+        largest monomial in grevlex with x_n largest, so each free set is
+        the grevlex normal set: closed under division, as degree d+1 needs.
         """
-        n = self.nvars
-        unit: Exponent = (0,) * n
+        unit: Exponent = (0,) * self.nvars
         self._by_degree.append(_DegreeData([unit], {unit: 0}, [unit], {unit: {0: 1}}, []))
-        self.build_counts.append((0, 0, False))
+        self.build_counts.append((0, 0))
         for d in range(1, self.spec.degree_cap + 1):
             prev = self._by_degree[d - 1]
             border = [m for m in reversed(prev.vlist) if m not in prev.free_index]
             data, rows = self._build_degree(d, border)
-            fell_back = d >= 2 and not self._commutes(data)
-            if fell_back:
-                nonfree = [m for m in monomials_of_degree(n, d - 1) if m not in prev.free_index]
-                data, more = self._build_degree(d, nonfree)
-                rows += more
-            self.build_counts.append((rows, len(data.vlist) - len(data.free), fell_back))
+            self.build_counts.append((rows, len(data.vlist) - len(data.free)))
             if not data.free:
                 return
             self._by_degree.append(data)
         raise RuntimeError(
             f"quotient did not become zero by the degree cap {self.spec.degree_cap}"
         )
-
-    def _commutes(self, top: _DegreeData) -> bool:
-        """Whether x_i x_j = x_j x_i as maps from degree d-2 into ``top``, degree d.
-
-        For every free f of degree d-2 and i < j, x_j * NF(x_i f) and
-        x_i * NF(x_j f) must have the same coordinates.  A pair where x_i f
-        and x_j f are both free reads one entry on both sides and is skipped.
-        """
-        mid = top.prev
-        free_index = mid.free_index
-
-        def image(m: Exponent, k: int) -> dict[int, object]:
-            slot = free_index.get(m)
-            return top.shift(mid.red[m], k) if slot is None else top.times[k][slot]
-
-        for f in mid.prev.free:
-            up = [_bump(f, i) for i in range(self.nvars)]
-            for j in range(1, self.nvars):
-                for i in range(j):
-                    if up[i] in free_index and up[j] in free_index:
-                        continue
-                    if image(up[i], j) != image(up[j], i):
-                        return False
-        return True
 
     def _build_degree(self, d: int, sources: list[Exponent]) -> tuple[_DegreeData, int]:
         """Eliminate the degree-d relations over V-coordinates in one ``Echelon``.

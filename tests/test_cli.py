@@ -270,6 +270,30 @@ def test_sweep_empty(capsys):
     check_schema(report)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "Rn"],
+        ["--max-n", "3"],
+        ["--family", "Rn", "--max-n", "0"],
+        ["--family", "Rn", "--max-n", "-1"],
+        ["--config", "cases.json", "--family", "Rn"],
+        ["--config", "cases.json", "--max-n", "3"],
+        ["--config", "cases.json", "--family", "Rn", "--max-n", "3"],
+    ],
+    ids=[
+        "family-alone", "max-n-alone", "max-n-zero", "max-n-negative",
+        "config-and-family", "config-and-max-n", "config-and-both",
+    ],
+)
+def test_sweep_half_specified_is_usage_error(capsys, argv):
+    code = main(["sweep", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
 def test_sweep_generated(capsys):
     code, report = run_json(capsys, ["sweep", "--family", "Rmu", "--max-n", "3"])
     assert code == 0
