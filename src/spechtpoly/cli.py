@@ -16,9 +16,9 @@ from .quotient import (
     build_ideal,
     graded_quotient,
     transition_matrix,
-    verify_basis,
+    verify_family,
 )
-from .specht import build_basis_family, higher_specht
+from .specht import higher_specht
 from .symfunc import GradedSchurExpansion, graded_frobenius, grfrob_formula_rnkmu
 from .tableaux import parse_partition, parse_tableau
 
@@ -40,8 +40,7 @@ def _resolve_params(family: str, args: argparse.Namespace) -> dict:
 
 def _verify_report(family: str, params: dict) -> dict:
     quotient = graded_quotient(build_ideal(family, **params))
-    elements = build_basis_family(FAMILIES[family].basis, **params)
-    return verify_basis(quotient, elements, family_name=family, params=params)
+    return verify_family(quotient, family, params)
 
 
 def _expansion_payload(exp: GradedSchurExpansion) -> dict:
@@ -203,6 +202,8 @@ def _run_case(case: dict) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise UsageError("--jobs must be at least 1")
     cases = _sweep_cases(args)
     if args.jobs > 1 and len(cases) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

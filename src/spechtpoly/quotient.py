@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ._linalg import Echelon, _integral_row, dependent_rows, kernel_basis, solve_in_span
 from .polyring import (
@@ -28,7 +28,7 @@ from .polyring import (
 )
 from .families import FAMILIES, lookup
 from .specht import BasisElement, _s_sort_key, build_basis_family
-from .tableaux import Partition, check_partition, last_letter_key, mu_child
+from .tableaux import Partition, check_partition, last_letter_key, mu_child, standard_count
 
 # -- ideal construction ------------------------------------------------------
 
@@ -369,6 +369,63 @@ def degree_slice(quotient: GradedQuotient, d: int) -> tuple[int, Callable[[Poly]
 # -- basis verification ------------------------------------------------------
 
 
+def _check_degree(
+    quotient: GradedQuotient, d: int, expected: int, elems: list[tuple[int, BasisElement]]
+) -> tuple[dict, list[dict]]:
+    """The per-degree entry and the failures of the (position, element) pairs of degree d.
+
+    The count must match the Hilbert function and the projections must be
+    linearly independent, as certified by ``dependent_rows``; each
+    dependent element is named by its family position and label.
+    """
+    dependent = dependent_rows([quotient.coords(be.poly, d) for _, be in elems])
+    failures = [
+        {"kind": "dependent", "d": d, "position": elems[pos][0], "label": elems[pos][1].label()}
+        for pos in dependent
+    ]
+    count = len(elems)
+    rank = count - len(dependent)
+    if count != expected:
+        failures.append({"kind": "count", "d": d, "expected": expected, "count": count})
+    entry = {
+        "d": d,
+        "expected": expected,
+        "count": count,
+        "rank": rank,
+        "ok": count == expected and rank == expected,
+    }
+    return entry, failures
+
+
+def _basis_report(
+    quotient: GradedQuotient,
+    degrees: Iterable[int],
+    check: Callable[[int, int], tuple[dict, list[dict]]],
+    family_size: int,
+    family_name: str,
+    params: dict | None,
+) -> dict:
+    """The verification report: ``check(d, expected)`` for every degree of the
+    quotient or of the family, in increasing order."""
+    hilb = quotient.hilbert
+    per_degree = []
+    failures: list[dict] = []
+    for d in sorted(set(range(len(hilb))) | set(degrees)):
+        entry, found = check(d, hilb[d] if d < len(hilb) else 0)
+        per_degree.append(entry)
+        failures += found
+    return {
+        "family": family_name,
+        "params": params or {},
+        "verdict": not failures,
+        "hilbert": list(hilb),
+        "dimension": quotient.dimension,
+        "family_size": family_size,
+        "per_degree": per_degree,
+        "failures": failures,
+    }
+
+
 def verify_basis(
     quotient: GradedQuotient,
     family: Sequence[BasisElement],
@@ -386,45 +443,84 @@ def verify_basis(
     by_degree: dict[int, list[tuple[int, BasisElement]]] = {}
     for idx, be in enumerate(family):
         by_degree.setdefault(be.degree, []).append((idx, be))
-    hilb = quotient.hilbert
-    degrees = sorted(set(range(len(hilb))) | set(by_degree))
-    per_degree = []
-    failures: list[dict] = []
-    verdict = True
-    for d in degrees:
-        expected = hilb[d] if d < len(hilb) else 0
-        elems = by_degree.get(d, [])
-        dependent = dependent_rows([quotient.coords(be.poly, d) for _, be in elems])
-        for idx, be in (elems[pos] for pos in dependent):
-            failures.append({"kind": "dependent", "d": d, "position": idx, "label": be.label()})
-            verdict = False
-        rank = len(elems) - len(dependent)
-        ok = len(elems) == expected and rank == expected
-        if len(elems) != expected:
-            failures.append(
-                {"kind": "count", "d": d, "expected": expected, "count": len(elems)}
-            )
-            verdict = False
-        per_degree.append(
-            {
-                "d": d,
-                "expected": expected,
-                "count": len(elems),
-                "rank": rank,
-                "ok": ok,
-            }
-        )
-    report = {
-        "family": family_name,
-        "params": params or {},
-        "verdict": verdict,
-        "hilbert": list(hilb),
-        "dimension": quotient.dimension,
-        "family_size": len(family),
-        "per_degree": per_degree,
-        "failures": failures,
-    }
-    return report
+    return _basis_report(
+        quotient,
+        by_degree,
+        lambda d, expected: _check_degree(quotient, d, expected, by_degree.get(d, [])),
+        len(family),
+        family_name,
+        params,
+    )
+
+
+def verify_family(quotient: GradedQuotient, family_name: str, params: dict) -> dict:
+    """``verify_basis`` of the ring's basis family (``FAMILIES``), by the isotypic certificate.
+
+    The report equals ``verify_basis(quotient, build_basis_family(basis,
+    **params), family_name, params)``, but a degree builds and ranks only
+    the representatives, one element F_T0^S * e^a per (S, exponents a)
+    with T0 the first standard tableau of S's shape lambda.  Its count is
+    the sum of f^lambda over the representatives.  A degree passes when
+    that count is the Hilbert value and no representative is dependent;
+    its rank is then the count.  Otherwise the degree's whole family is
+    built and checked element by element, with positions shifted by the
+    counts of the lower degrees, so a failure names the same element.
+
+    Soundness.  Sigma in S_n acts on polynomials by permuting variables.
+    F_{sigma T}^S = sigma F_T^S (Ariki, Terasoma & Yamada 1997), so with
+    sigma_T T0 = T, F_T^S = (sigma_T eps_T0) m, where eps_T0 is the Young
+    symmetrizer and m the monomial of (S, T0).  Hence the elements of a
+    degree are the images of a basis of M = (+)_{(S, a)} C[S_n] eps_T0
+    under the map x_{(S, a)} -> (x m) e^a mod I, and that map is
+    S_n-equivariant.  C[S_n] eps_T0 is irreducible, isomorphic to
+    V^lambda, so M is a sum of copies of the V^lambda, and a kernel is a
+    sum of copies too; on the lambda-isotypic part, by Schur's lemma, it
+    is V^lambda (x) K for a subspace K of the multiplicity space, and it
+    is nonzero exactly when some combination of the images of one nonzero
+    vector, eps_T0, vanishes.  Those images are the representatives, and
+    representatives of different shapes lie in different isotypic parts
+    of R_d.  So the degree's family is independent exactly when its
+    representatives are, and it is a basis when, besides, dim M (the
+    count) is the Hilbert value.  The argument needs:
+
+    - the ideal is S_n-stable, as it is for every ``FAMILIES`` row, so
+      projecting to the quotient commutes with S_n;
+    - the factor e^a is a product of elementary symmetric polynomials;
+    - each recipe pairs S with every standard T of its shape, so the
+      degree's family is the image of a basis of M with f^lambda =
+      ``standard_count(lambda)`` elements per (S, a);
+    - Young's natural basis, the sigma_T eps_T0 for standard T, is a
+      basis of C[S_n] eps_T0.
+
+    The first is checked: ValueError unless the quotient is that of a
+    ``FAMILIES`` ring in the family's n variables.
+    """
+    basis = lookup(FAMILIES, family_name).basis
+    if quotient.spec.family not in FAMILIES:
+        raise ValueError("the certificate needs the quotient of a FAMILIES ring")
+    reps: dict[int, list[BasisElement]] = {}
+    for be in build_basis_family(basis, first_t=True, **params):
+        if be.poly.nvars != quotient.nvars:
+            raise ValueError(f"{family_name} has {be.poly.nvars} variables, the ring {quotient.nvars}")
+        reps.setdefault(be.degree, []).append(be)
+    counts: dict[int, int] = {}
+    offsets: dict[int, int] = {}  # the family position of each degree's first element
+    total = 0
+    for d in sorted(reps):
+        offsets[d] = total
+        counts[d] = sum(standard_count(be.s.shape) for be in reps[d])
+        total += counts[d]
+
+    def check(d: int, expected: int) -> tuple[dict, list[dict]]:
+        count = counts.get(d, 0)
+        if count == expected and not dependent_rows(
+            [quotient.coords(be.poly, d) for be in reps.get(d, [])]
+        ):
+            return {"d": d, "expected": expected, "count": count, "rank": count, "ok": True}, []
+        full = build_basis_family(basis, degree=d, **params)
+        return _check_degree(quotient, d, expected, list(enumerate(full, offsets.get(d, 0))))
+
+    return _basis_report(quotient, counts, check, total, family_name, params)
 
 
 # -- the recursion family and transition matrices ----------------------------

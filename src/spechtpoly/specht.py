@@ -362,14 +362,20 @@ def _family_elements(
     return out
 
 
-def build_basis_family(kind: str, *, degree: int | None = None, **params) -> list[BasisElement]:
+def build_basis_family(
+    kind: str, *, degree: int | None = None, first_t: bool = False, **params
+) -> list[BasisElement]:
     """The spanning family of a basis of the family table (see ``families``).
 
     ``degree`` restricts the family to its elements of that degree; None
-    builds every degree.  Elements come back sorted by (degree, S, T,
-    exponents).
+    builds every degree.  ``first_t`` restricts it to the first standard
+    T of each S, one element per (S, exponents).  Elements come back
+    sorted by (degree, S, T, exponents).
     """
     row = lookup(BASES, kind)
-    out = _family_elements(*row.recipe(**row.check(params)), degree)
+    pairs, n, exponent_tuples = row.recipe(**row.check(params))
+    if first_t:
+        pairs = ((s, fillings[:1]) for s, fillings in pairs)
+    out = _family_elements(pairs, n, exponent_tuples, degree)
     out.sort(key=family_sort_key)
     return out

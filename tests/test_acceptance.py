@@ -18,14 +18,23 @@ from math import factorial
 import pytest
 
 from conftest import requires_long
+# the CLI's verify report, by the isotypic certificate (``verify_family``);
+# tests/test_quotient.py pins it to ``verify_basis`` on the whole family
+from spechtpoly.cli import _verify_report
 from spechtpoly.perms import all_permutations
-from spechtpoly.polyring import QQ, Poly, extend_variables, permute_variables, poly_product
+from spechtpoly.polyring import (
+    QQ,
+    Poly,
+    elementary,
+    extend_variables,
+    permute_variables,
+    poly_product,
+)
 from spechtpoly.quotient import (
     almost_lower_triangular,
     build_ideal,
     graded_quotient,
     transition_matrix,
-    verify_basis,
 )
 from spechtpoly.specht import (
     bilinear_form,
@@ -67,20 +76,13 @@ def criterion(num, label):
     return deco
 
 
-def _verify(family, basis, **kwargs):
-    quotient = graded_quotient(build_ideal(family, **kwargs))
-    elements = build_basis_family(basis, **kwargs)
-    report = verify_basis(quotient, elements, family_name=family, params=kwargs)
-    return quotient, report
-
-
 # -- 1: the classical coinvariant ring ----------------------------------------
 
 
 @criterion(1, "B_n is a linear basis of the coinvariant ring R_n, n = 2..6")
 def test_01_coinvariant_basis():
     for n in range(2, 7):
-        _, report = _verify("Rn", "Bn", n=n)
+        report = _verify_report("Rn", {"n": n})
         assert report["verdict"] is True, (n, report["failures"])
         assert report["family_size"] == factorial(n)
         assert report["dimension"] == factorial(n)
@@ -94,7 +96,7 @@ def test_02_generalized_basis():
     for n in range(1, 6):
         for k in range(1, n + 1):
             for s in range(0, k + 1):
-                _, report = _verify("Rnks", "Bnks", n=n, k=k, s=s)
+                report = _verify_report("Rnks", {"n": n, "k": k, "s": s})
                 assert report["verdict"] is True, (n, k, s, report["failures"])
                 if s == 0:
                     assert report["family_size"] == k**n
@@ -119,7 +121,7 @@ def test_03_rnk_frobenius_formula():
 def test_04_deformed_basis():
     for n in range(1, 7):
         for mu in partitions(n):
-            _, report = _verify("Rmu", "Bmu", mu=mu)
+            report = _verify_report("Rmu", {"mu": mu})
             assert report["verdict"] is True, (mu, report["failures"])
 
 
@@ -128,7 +130,7 @@ def test_04_deformed_basis():
 @criterion(4, "B_mu bases for mu |- 7 and mu = (3,3,2) (long tier)")
 def test_04_deformed_basis_long_tier():
     for mu in list(partitions(7)) + [(3, 3, 2)]:
-        _, report = _verify("Rmu", "Bmu", mu=mu)
+        report = _verify_report("Rmu", {"mu": mu})
         assert report["verdict"] is True, (mu, report["failures"])
 
 
@@ -212,7 +214,7 @@ def test_08_single_part_mu():
         top = hall_littlewood_cocharge((n,))
         hook = hall_littlewood_cocharge((n - 1, 1))
         for k in range(1, n + 1):
-            _, report = _verify("Rnkmu", "Bnkmu", n=n, k=k, mu=mu)
+            report = _verify_report("Rnkmu", {"n": n, "k": k, "mu": mu})
             assert report["verdict"] is True, (n, k, report["failures"])
             assert report["family_size"] == k + (k - 1) * (n - 1)
 
@@ -273,16 +275,34 @@ def _suite_garnir(rng):
     return cases
 
 
+def _relabel(t, sigma):
+    """T with each entry e replaced by sigma(e) (sigma 0-based, as permute_variables)."""
+    return t.replace_entries({e: sigma[e - 1] + 1 for e in range(1, len(sigma) + 1)})
+
+
 def _suite_equivariance(rng):
-    """Permuting variables of the polynomial matches relabeling T's entries."""
+    """Permuting variables of the polynomial matches relabeling T's entries:
+    for every semistandard S of partition content, and for the products
+    F_T^S * e^a of the B_{n,k,s} and B_{n,k,mu} families, whose e-factor
+    is symmetric.  This is the S_n-map that the isotypic certificate of
+    ``verify_family`` rests on."""
     for n in range(2, 6):
         for lam in partitions(n):
-            for s in standard_tableaux(lam):
+            for s in _partition_content_fillings(lam):
                 for t in standard_tableaux(lam):
                     f = higher_specht(s, t)
                     for sigma in all_permutations(n):
-                        moved = t.replace_entries({e: sigma[e - 1] + 1 for e in range(1, n + 1)})
-                        assert permute_variables(sigma, f) == higher_specht(s, moved)
+                        assert permute_variables(sigma, f) == higher_specht(s, _relabel(t, sigma))
+    for kind, params in (("Bnks", {"n": 4, "k": 3, "s": 1}), ("Bnkmu", {"n": 4, "k": 3, "mu": (3,)})):
+        for be in build_basis_family(kind, **params):
+            if not any(be.exponents):
+                continue
+            efactor = poly_product(
+                (elementary(j, 4) ** e for j, e in enumerate(be.exponents, start=1)), 4
+            )
+            for sigma in all_permutations(4):
+                moved = higher_specht(be.s, _relabel(be.t, sigma)) * efactor
+                assert permute_variables(sigma, be.poly) == moved, (kind, be.label(), sigma)
     # randomized tier: 40 cases
     cases = 0
     for n, count in ((6, 25), (7, 15)):
@@ -293,8 +313,7 @@ def _suite_equivariance(rng):
             s = rng.choice(tabs)
             t = rng.choice(tabs)
             sigma = tuple(rng.sample(range(n), n))
-            moved = t.replace_entries({e: sigma[e - 1] + 1 for e in range(1, n + 1)})
-            assert permute_variables(sigma, higher_specht(s, t)) == higher_specht(s, moved)
+            assert permute_variables(sigma, higher_specht(s, t)) == higher_specht(s, _relabel(t, sigma))
             cases += 1
     return cases
 

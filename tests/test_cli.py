@@ -228,6 +228,16 @@ def test_transition_empty_mu_is_usage_error(capsys):
 BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 
 
+def _bench_reference() -> dict:
+    return json.loads(BENCH_REFERENCE.read_text(encoding="utf-8"))
+
+
+def _digest(report: dict) -> str:
+    """sha256 of the report as sorted compact JSON, as bench/check.py computes it."""
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize(
     "argv",
     [["transition", "--mu", "2,1", "--d", "1"]]
@@ -235,19 +245,32 @@ BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.jso
         ["transition", "--mu", "3,2,1", "--d", str(d), "--normalize", norm]
         for d in range(5)
         for norm in ("raw", "primitive")
+    ]
+    + [
+        ["verify", "--family", "Rmu", "--mu", "2,1"],
+        ["verify", "--family", "Rnks", "--n", "5", "--k", "4", "--s", "2"],
+        ["verify", "--family", "Rnks", "--n", "5", "--k", "4", "--s", "3"],
     ],
     ids=lambda argv: " ".join(argv[2:]),
 )
 def test_transition_report_matches_bench_reference(capsys, argv):
-    # the digest is sha256 of the report as sorted compact JSON without its
-    # version stamp, as bench/check.py computes it
-    want = json.loads(BENCH_REFERENCE.read_text(encoding="utf-8"))["jobs"][" ".join(argv)]
+    # every transition and verify job of the benchmark's pools
+    want = _bench_reference()["jobs"][" ".join(argv)]
     code = main(argv)
     report = json.loads(capsys.readouterr().out)
     del report["version"]
-    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
     assert code == want["rc"]
-    assert hashlib.sha256(text.encode()).hexdigest() == want["digest"]
+    assert _digest(report) == want["digest"]
+
+
+def test_sweep_cases_match_bench_reference():
+    # every sweep case of the benchmark, keyed by its sorted JSON in the reference
+    cases = _bench_reference()["cases"]
+    assert len(cases) == 88
+    for key, want in cases.items():
+        result = cli._run_case(json.loads(key))
+        assert result["verdict"] is want["verdict"], key
+        assert _digest(result) == want["digest"], key
 
 
 def test_transition_empty_degree_slice(capsys):
@@ -291,6 +314,15 @@ def test_sweep_half_specified_is_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_sweep_jobs_below_one_is_usage_error(capsys, jobs):
+    code = main(["sweep", "--family", "Rn", "--max-n", "1", "--jobs", jobs])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: --jobs must be at least 1\n"
     assert captured.out == ""
 
 

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import importlib.util
+import json
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spechtpoly._linalg import solve_in_span
+from spechtpoly.families import FAMILIES
 from spechtpoly.polyring import QQ, Poly, elementary, monomials_of_degree
 from spechtpoly.quotient import (
     GradedQuotient,
@@ -21,6 +25,7 @@ from spechtpoly.quotient import (
     graded_quotient,
     transition_matrix,
     verify_basis,
+    verify_family,
 )
 from spechtpoly.specht import build_basis_family
 from spechtpoly.tableaux import partitions
@@ -291,6 +296,85 @@ def test_verify_basis_pinpoints_count():
     cnt = [f for f in report["failures"] if f["kind"] == "count"]
     assert cnt and cnt[0]["d"] == 3
     assert cnt[0]["expected"] == 1 and cnt[0]["count"] == 0
+
+
+# -- the isotypic certificate against the per-element check ------------------------
+
+
+def _bench_sweep_cases():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [(case["family"], case["params"]) for case in module.sweep_cases()]
+
+
+def _acceptance_corpus():
+    """The rings and parameters of acceptance criteria 1, 2, 4 and 8."""
+    cases = [("Rn", {"n": n}) for n in range(2, 7)]
+    cases += [
+        ("Rnks", {"n": n, "k": k, "s": s})
+        for n in range(1, 6)
+        for k in range(1, n + 1)
+        for s in range(k + 1)
+    ]
+    cases += [("Rmu", {"mu": list(mu)}) for n in range(1, 7) for mu in partitions(n)]
+    cases += [
+        ("Rnkmu", {"n": n, "k": k, "mu": [n - 1]}) for n in range(2, 7) for k in range(1, n + 1)
+    ]
+    return cases
+
+
+def _full_report(quotient, family, params):
+    elements = build_basis_family(FAMILIES[family].basis, **params)
+    return verify_basis(quotient, elements, family_name=family, params=params)
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        pytest.param(family, params, id=f"{corpus}-{family}-{json.dumps(params, sort_keys=True)}")
+        for corpus, cases in (("acceptance", _acceptance_corpus()), ("sweep", _bench_sweep_cases()))
+        for family, params in cases
+    ],
+)
+def test_verify_family_matches_verify_basis(family, params):
+    quotient = graded_quotient(build_ideal(family, **params))
+    assert verify_family(quotient, family, params) == _full_report(quotient, family, params)
+
+
+@pytest.mark.parametrize(
+    "family,params,ring,ring_params",
+    [
+        # counts differ in degrees 1 and 2; degree 3 matches its count but has rank 0
+        ("Rn", {"n": 3}, "Rnks", {"n": 3, "k": 2, "s": 0}),
+        # degree 2 matches its count, and its representatives are dependent
+        ("Rnks", {"n": 3, "k": 2, "s": 1}, "Rnkmu", {"n": 3, "k": 3, "mu": [2]}),
+        # counts differ, with dependent elements in the same degree
+        ("Rnks", {"n": 4, "k": 2, "s": 2}, "Rmu", {"mu": [2, 1, 1]}),
+    ],
+)
+def test_verify_family_falls_back_on_a_failing_degree(family, params, ring, ring_params):
+    # an S_n-stable quotient of another ring, on which the family is no basis
+    quotient = graded_quotient(build_ideal(ring, **ring_params))
+    report = verify_family(quotient, family, params)
+    assert report["verdict"] is False
+    assert report == _full_report(quotient, family, params)
+    assert any(f["kind"] == "dependent" for f in report["failures"])
+
+
+def test_verify_family_rejects_a_ring_outside_its_proof():
+    # (x3 - x1) + m^2 is not S_3-stable: degree 1 has the Hilbert count 2 and
+    # a nonzero representative, but x3 - x1 = 0 makes the family rank 1
+    x1, x3 = Poly.variable(1, 3), Poly.variable(3, 3)
+    unstable = graded_quotient(
+        IdealSpec(3, (x3 - x1, *map(Poly.monomial, monomials_of_degree(3, 2))), 2)
+    )
+    assert _full_report(unstable, "Rn", {"n": 3})["verdict"] is False
+    with pytest.raises(ValueError, match="FAMILIES ring"):
+        verify_family(unstable, "Rn", {"n": 3})
+    with pytest.raises(ValueError, match="variables"):
+        verify_family(graded_quotient(build_ideal("Rn", n=4)), "Rn", {"n": 3})
 
 
 def test_gp_recursion_family_shape():

@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from spechtpoly.families import FAMILIES
 from spechtpoly.perms import all_permutations
 from spechtpoly.polyring import QQ, Poly, permute_variables, poly_product
 from spechtpoly.specht import (
@@ -303,6 +304,25 @@ def test_degree_restricted_family_is_its_degree_slice(kind, params):
         assert build_basis_family(kind, degree=d, **params) == [
             be for be in full if be.degree == d
         ], d
+
+
+@pytest.mark.parametrize("ring", sorted(FAMILIES))
+def test_recipes_pair_each_s_with_every_standard_t(ring):
+    # the precondition of the isotypic certificate in quotient.verify_family
+    row = FAMILIES[ring]
+    for n in range(1, 6):
+        for params in row.sweep(n):
+            pairs = row.recipe(**row.check(params))[0]
+            for s, fillings in pairs:
+                assert list(fillings) == standard_tableaux(s.shape), (ring, params, s)
+
+
+def test_first_t_family_is_one_element_per_s_and_exponents():
+    full = build_basis_family("Bnks", n=4, k=3, s=1)
+    reps = build_basis_family("Bnks", first_t=True, n=4, k=3, s=1)
+    first = {be.s: standard_tableaux(be.s.shape)[0] for be in full}
+    assert reps == [be for be in full if be.t == first[be.s]]
+    assert sum(standard_count(be.s.shape) for be in reps) == len(full)
 
 
 def test_garnir_randomized_n6(rng):
