@@ -24,9 +24,9 @@ from .tableaux import (
     check_partition,
     column_excess,
     descent_stats,
-    enumerate_tableaux,
     partitions,
     semistandard_descents,
+    semistandard_tableaux,
     standard_tableaux,
 )
 
@@ -140,7 +140,7 @@ def _pairs_content(mu: Partition):
     """(S, fillings): every semistandard S of content mu with the standard T of its shape."""
     n = sum(mu)
     for shape in partitions(n):
-        semis = enumerate_tableaux(shape, mu, flavor="semistandard")
+        semis = semistandard_tableaux(shape, mu)
         if not semis:
             continue
         stds = standard_tableaux(shape)

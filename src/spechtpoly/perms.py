@@ -13,15 +13,6 @@ from typing import Iterable, Iterator
 Perm = tuple[int, ...]
 
 
-def identity(n: int) -> Perm:
-    return tuple(range(n))
-
-
-def compose(a: Perm, b: Perm) -> Perm:
-    """Return the permutation mapping i to a[b[i]] (apply b first, then a)."""
-    return tuple(a[x] for x in b)
-
-
 def sign(a: Perm) -> int:
     """Sign of the permutation: (-1)^(n - number of cycles)."""
     seen = [False] * len(a)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction as QQ
 from math import gcd, lcm
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .perms import Perm
@@ -362,17 +362,19 @@ def vandermonde(nvars: int) -> Poly:
 
 
 def permute_variables(sigma: Perm, p: Poly) -> Poly:
-    """Apply the substitution x_i -> x_{sigma(i)} (sigma is 0-based)."""
-    if len(sigma) != p.nvars:
-        raise ValueError("permutation length does not match nvars")
-    out: dict[Exponent, object] = {}
-    for exp, coeff in p.terms.items():
-        new = [0] * p.nvars
-        for i, e in enumerate(exp):
-            if e:
-                new[sigma[i]] = e
-        out[tuple(new)] = coeff
-    return Poly._raw(p.nvars, out)
+    """Apply the substitution x_i -> x_{sigma(i)} (sigma is 0-based).
+
+    ValueError unless sigma is a permutation of range(nvars).
+    """
+    n = p.nvars
+    if sorted(sigma) != list(range(n)):
+        raise ValueError(f"{tuple(sigma)} is not a permutation of range({n})")
+    inverse = [0] * n  # the exponent at sigma(i) is the old one at i
+    for i, j in enumerate(sigma):
+        inverse[j] = i
+    # itemgetter of one index returns the entry, not a 1-tuple
+    relabel = itemgetter(*inverse) if n > 1 else tuple
+    return Poly._raw(n, {relabel(e): c for e, c in p.terms.items()})
 
 
 def extend_variables(p: Poly, nvars: int) -> Poly:
@@ -390,10 +392,3 @@ def clear_denominators(terms: Mapping) -> tuple[dict, int]:
     scale = lcm(*(c.denominator for c in terms.values()))
     ints = {key: c.numerator * (scale // c.denominator) for key, c in terms.items()}
     return ints, scale
-
-
-def poly_product(factors: Iterable[Poly], nvars: int) -> Poly:
-    result = Poly.one(nvars)
-    for f in factors:
-        result = result * f
-    return result

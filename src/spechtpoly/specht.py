@@ -19,7 +19,14 @@ from typing import Callable, Iterable, Sequence
 from . import perms
 from ._linalg import solve_in_span
 from .families import BASES, lookup
-from .polyring import Exponent, Poly, clear_denominators, elementary, exact_quotient
+from .polyring import (
+    Exponent,
+    Poly,
+    clear_denominators,
+    elementary,
+    exact_quotient,
+    permute_variables,
+)
 from .tableaux import (
     Tableau,
     cocharge_label_tableau,
@@ -175,6 +182,26 @@ def higher_specht(s: Tableau, t: Tableau) -> Poly:
     return apply_symmetrizer(t, tagged_monomial(s, t))
 
 
+def higher_specht_family(s: Tableau, fillings: Sequence[Tableau]) -> list[Poly]:
+    """F_T^S for every T of ``fillings``, with one symmetrizer application in all.
+
+    F_T0^S is built for T0 = fillings[0]; every other F_T^S is the
+    relabelling sigma_T F_T0^S, where sigma_T(T0(c)) = T(c) for every cell
+    c, because F_{sigma T}^S = sigma F_T^S (Ariki, Terasoma & Yamada 1997).
+    ValueError for a filling of another shape or one that is not bijective.
+    """
+    if not fillings:
+        return []
+    t0 = fillings[0]
+    out = [higher_specht(s, t0)]
+    for t in fillings[1:]:
+        if t.shape != t0.shape:
+            raise ValueError(f"shape mismatch: T0 has {t0.shape}, T has {t.shape}")
+        image = {a: b - 1 for r0, r in zip(t0.rows, t.rows) for a, b in zip(r0, r)}
+        out.append(permute_variables([image[a] for a in range(1, t.size + 1)], out[0]))
+    return out
+
+
 def dual_specht(s: Tableau, t: Tableau) -> Poly:
     """G_T^S: the transposed symmetrizer applied to the complementary monomial.
 
@@ -266,10 +293,7 @@ def straighten(s: Tableau, t: Tableau) -> tuple:
     ArithmeticError if the polynomial were outside the span (it never is).
     """
     _check_pair(s, t)
-    shape = t.shape
-    stds = standard_tableaux(shape)
-    basis = [higher_specht(s, std) for std in stds]
-    target = higher_specht(s, t)
+    *basis, target = higher_specht_family(s, standard_tableaux(t.shape) + [t])
     support = sorted({e for p in basis + [target] for e in p.terms})
     index = {e: i for i, e in enumerate(support)}
     columns = [_poly_to_vector(p, index) for p in basis]
@@ -339,7 +363,8 @@ def _family_elements(
 
     The degree (cocharge of S plus the weight of the exponents) is known
     before F_T^S is built, so with ``degree`` given only the elements of
-    that degree are built.  Each e-product is built once per call.
+    that degree are built.  Each S gets one symmetrizer application
+    (``higher_specht_family``) and each e-product is built once per call.
     """
     out: list[BasisElement] = []
     efactors: dict[tuple[int, ...], Poly] = {}
@@ -354,8 +379,7 @@ def _family_elements(
                     efactors[exps] = _efactor(exps, n)
         if not wanted:
             continue
-        for t in fillings:
-            base = higher_specht(s, t)
+        for t, base in zip(fillings, higher_specht_family(s, fillings)):
             for exps, d in wanted:
                 poly = base * efactors[exps] if any(exps) else base
                 out.append(BasisElement(poly, d, s, t, exps))

@@ -11,7 +11,7 @@ from ._linalg import dependent_rows
 from .perms import conjugacy_class_size, from_cycle_type
 from .polyring import QQ
 from .quotient import GradedQuotient
-from .specht import higher_specht, straighten
+from .specht import higher_specht_family, straighten
 from .tableaux import (
     Partition,
     Tableau,
@@ -20,9 +20,9 @@ from .tableaux import (
     conjugate,
     contains,
     descent_stats,
-    enumerate_tableaux,
     partitions,
     reading_word,
+    semistandard_tableaux,
     standard_count,
     standard_tableaux,
 )
@@ -221,7 +221,7 @@ def hall_littlewood_cocharge(mu: Sequence[int]) -> GradedSchurExpansion:
     n = sum(mu)
     out = GradedSchurExpansion(n)
     for lam in partitions(n):
-        for s in enumerate_tableaux(lam, mu, flavor="semistandard"):
+        for s in semistandard_tableaux(lam, mu):
             out.add_term(cocharge(reading_word(s)), lam, 1)
     return out
 
@@ -328,7 +328,7 @@ def irreducible_block_check(s: Tableau, quotient: GradedQuotient) -> dict:
         raise ValueError("tableau size does not match the quotient")
     stds = standard_tableaux(shape)
     d = cocharge(reading_word(s))
-    vecs = [quotient.coords(higher_specht(s, t), d) for t in stds]
+    vecs = [quotient.coords(f, d) for f in higher_specht_family(s, stds)]
     dim = len(vecs) - len(dependent_rows(vecs))
     expected_dim = standard_count(shape)
     ct = character_table(n)

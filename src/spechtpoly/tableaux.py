@@ -610,13 +610,23 @@ def last_letter_compare(t1: Tableau, t2: Tableau) -> int:
 
 
 @lru_cache(maxsize=None)
-def _standard_cached(shape: Partition) -> tuple[Tableau, ...]:
-    return tuple(enumerate_tableaux(shape, flavor="standard"))
+def _standard_cached(shape: Partition) -> tuple[tuple[Tableau, ...], tuple[Tableau, ...]]:
+    """The standard tableaux of a shape by reading word, and in last letter order."""
+    by_word = tuple(enumerate_tableaux(shape, flavor="standard"))
+    return by_word, tuple(sorted(by_word, key=last_letter_key))
 
 
 def standard_tableaux(shape: Sequence[int], last_letter: bool = True) -> list[Tableau]:
-    """Standard tableaux of a shape, in last letter order by default."""
-    tabs = list(_standard_cached(check_partition(shape) if shape else ()))
-    if last_letter:
-        tabs.sort(key=last_letter_key)
-    return tabs
+    """Standard tableaux of a shape, in last letter order by default; a fresh list."""
+    return list(_standard_cached(check_partition(shape) if shape else ())[last_letter])
+
+
+@lru_cache(maxsize=None)
+def _semistandard_cached(shape: Partition, content: tuple[int, ...]) -> tuple[Tableau, ...]:
+    return tuple(enumerate_tableaux(shape, content, flavor="semistandard"))
+
+
+def semistandard_tableaux(shape: Sequence[int], content: Sequence[int]) -> list[Tableau]:
+    """Semistandard tableaux of a shape and content, by reading word; a fresh list."""
+    shape = check_partition(shape) if shape else ()
+    return list(_semistandard_cached(shape, tuple(int(c) for c in content)))

@@ -28,7 +28,6 @@ from spechtpoly.polyring import (
     elementary,
     extend_variables,
     permute_variables,
-    poly_product,
 )
 from spechtpoly.quotient import (
     almost_lower_triangular,
@@ -64,6 +63,13 @@ from spechtpoly.tableaux import (
 )
 
 F = QQ
+
+
+def poly_product(factors, n):
+    out = Poly.one(n)
+    for f in factors:
+        out = out * f
+    return out
 
 
 def criterion(num, label):

@@ -13,7 +13,6 @@ from spechtpoly.polyring import (
     extend_variables,
     monomials_of_degree,
     permute_variables,
-    poly_product,
     vandermonde,
 )
 
@@ -172,14 +171,24 @@ def test_permute_variables():
 
 
 def test_permute_variables_is_action(rng):
-    from spechtpoly.perms import all_permutations, compose
+    from spechtpoly.perms import all_permutations
 
     f = x1 * x1 * x2 + 3 * x3 - x2
     for a in all_permutations(3):
         for b in all_permutations(3):
             lhs = permute_variables(a, permute_variables(b, f))
-            rhs = permute_variables(compose(a, b), f)
+            rhs = permute_variables(tuple(a[i] for i in b), f)  # b first, then a
             assert lhs == rhs
+
+
+def test_permute_variables_rejects_non_permutations():
+    # a repeated image used to overwrite a coefficient: (0, 0, 2) sent x1 + x2 to x1
+    for sigma in ((0, 0, 2), (0, 1), (0, 1, 2, 3), (1, 2, 3), (0, 1, -1)):
+        with pytest.raises(ValueError):
+            permute_variables(sigma, x1 + x2)
+    one = Poly.variable(1, 1)
+    assert permute_variables((0,), 2 * one) == 2 * one
+    assert permute_variables((), Poly.constant(0, 3)) == Poly.constant(0, 3)
 
 
 def test_extend_variables():
@@ -189,12 +198,6 @@ def test_extend_variables():
     assert g == Poly.variable(1, 4) * Poly.variable(2, 4)
     with pytest.raises(ValueError):
         extend_variables(g, 2)
-
-
-def test_poly_product():
-    fs = [x1 + x2, x1 - x2]
-    assert poly_product(fs, 3) == x1 * x1 - x2 * x2
-    assert poly_product([], 3) == Poly.one(3)
 
 
 def test_fraction_coefficients_interoperate():

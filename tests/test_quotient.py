@@ -27,8 +27,8 @@ from spechtpoly.quotient import (
     verify_basis,
     verify_family,
 )
-from spechtpoly.specht import build_basis_family
-from spechtpoly.tableaux import partitions
+from spechtpoly.specht import build_basis_family, higher_specht
+from spechtpoly.tableaux import format_tableau, parse_tableau, partitions, standard_tableaux
 
 
 def multinomial(mu):
@@ -375,6 +375,35 @@ def test_verify_family_rejects_a_ring_outside_its_proof():
         verify_family(unstable, "Rn", {"n": 3})
     with pytest.raises(ValueError, match="variables"):
         verify_family(graded_quotient(build_ideal("Rn", n=4)), "Rn", {"n": 3})
+
+
+def test_b2222_degree_5_is_dependent_already_in_the_polynomial_ring():
+    """The one failing ring of n = 8: B_(2,2,2,2) has rank 231 of 295 in degree 5.
+
+    Every dependent element has the same S, with every standard T of its
+    shape, and the dependence holds before any reduction: for T0 the first
+    failing T, the two degree-5 elements of shape (5,2,1) satisfy
+    2 F^{S1} + F^{S2} = 0 in Q[x1..x8], with neither polynomial zero.
+    """
+    mu = [2, 2, 2, 2]
+    report = verify_family(graded_quotient(build_ideal("Rmu", mu=mu)), "Rmu", {"mu": mu})
+    assert [e for e in report["per_degree"] if not e["ok"]] == [
+        {"d": 5, "expected": 295, "count": 295, "rank": 231, "ok": False}
+    ]
+    failures = report["failures"]
+    assert len(failures) == 64
+    assert {f["kind"] for f in failures} == {"dependent"}
+    s2 = "1 1 2 2 4/3 3/4"
+    assert all(f["label"]["shape"] == [5, 2, 1] and f["label"]["S"] == s2 for f in failures)
+    assert sorted(f["label"]["T"] for f in failures) == sorted(
+        map(format_tableau, standard_tableaux((5, 2, 1)))
+    )
+    assert (failures[0]["position"], failures[0]["label"]["T"]) == (439, "1 4 6 7 8/2 5/3")
+    t0 = parse_tableau("1 4 6 7 8/2 5/3")
+    f1 = higher_specht(parse_tableau("1 1 2 3 3/2 4/4"), t0)
+    f2 = higher_specht(parse_tableau(s2), t0)
+    assert len(f1.terms) == len(f2.terms) == 36
+    assert f2 == -2 * f1
 
 
 def test_gp_recursion_family_shape():

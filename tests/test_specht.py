@@ -7,7 +7,8 @@ import pytest
 
 from spechtpoly.families import FAMILIES
 from spechtpoly.perms import all_permutations
-from spechtpoly.polyring import QQ, Poly, permute_variables, poly_product
+from spechtpoly.polyring import QQ, Poly, elementary, extend_variables, permute_variables
+from spechtpoly.quotient import gp_recursion_family
 from spechtpoly.specht import (
     apply_symmetrizer,
     bilinear_form,
@@ -15,6 +16,7 @@ from spechtpoly.specht import (
     dual_specht,
     garnir_apply,
     higher_specht,
+    higher_specht_family,
     specht_classical,
     straighten,
     tagged_monomial,
@@ -25,6 +27,7 @@ from spechtpoly.tableaux import (
     parse_tableau,
     partitions,
     reading_word,
+    semistandard_tableaux,
     standard_count,
     standard_tableaux,
 )
@@ -32,6 +35,13 @@ from spechtpoly.tableaux import (
 
 def x(i, n):
     return Poly.variable(i, n)
+
+
+def poly_product(factors, n):
+    out = Poly.one(n)
+    for f in factors:
+        out = out * f
+    return out
 
 
 def has_exact_coefficients(p):
@@ -351,6 +361,95 @@ def test_equivariance_exhaustive_small():
                         {e: sigma[e - 1] + 1 for e in range(1, n + 1)}
                     )
                     assert permute_variables(sigma, f) == higher_specht(s, moved)
+
+
+# -- family construction by relabelling ------------------------------------------
+
+
+def test_families_match_the_direct_definition():
+    """Every element built by relabelling F_T0^S equals its direct definition:
+    higher_specht(S, T), extended to n variables, times x_n^xpower and the
+    e-factor.  Each F_T^S and each e-factor is computed once, by the oracle."""
+    specht, efactor = {}, {}
+
+    def direct(be, n):
+        if (be.s, be.t) not in specht:
+            specht[be.s, be.t] = higher_specht(be.s, be.t)
+        if (be.exponents, n) not in efactor:
+            efactor[be.exponents, n] = poly_product(
+                (elementary(j, n) ** e for j, e in enumerate(be.exponents, start=1)), n
+            )
+        f = extend_variables(specht[be.s, be.t], n) * x(n, n) ** be.xpower
+        return f * efactor[be.exponents, n]
+
+    cases = [
+        (row.basis, row.check(params))
+        for row in FAMILIES.values()
+        for n in range(1, 6)
+        for params in row.sweep(n)
+    ]
+    cases += [("Bmu", {"mu": mu}) for mu in partitions(6)]
+    for kind, params in cases:
+        family = build_basis_family(kind, **params)
+        n = family[0].poly.nvars
+        for be in family:
+            assert be.poly == direct(be, n), (kind, params, be.label())
+    for mu in ((3, 2, 1), (2, 2, 1, 1)):
+        for be in gp_recursion_family(mu):
+            assert be.poly == direct(be, 6), (mu, be.label())
+
+
+def test_higher_specht_family_relabels_the_first_filling():
+    s = parse_tableau("1 1 2/2 3")
+    fillings = enumerate_tableaux((3, 2), flavor="all-bijective")[::7]
+    assert higher_specht_family(s, fillings) == [higher_specht(s, t) for t in fillings]
+    assert higher_specht_family(s, []) == []
+    with pytest.raises(ValueError):
+        higher_specht_family(s, [fillings[0], parse_tableau("1 2 3 4/5")])
+    with pytest.raises(ValueError):
+        higher_specht_family(s, [fillings[0], parse_tableau("1 2 3/4 4")])
+
+
+def test_tableau_lists_are_fresh_copies():
+    # the enumerations are memoised; mutating a returned list must not reach the memo
+    for get in (
+        lambda: standard_tableaux((3, 2)),
+        lambda: standard_tableaux((3, 2), last_letter=False),
+        lambda: semistandard_tableaux((3, 2), (2, 2, 1)),
+    ):
+        before = tuple(get())
+        mutated = get()
+        mutated.reverse()
+        mutated.append(mutated[0])
+        assert tuple(get()) == before
+
+
+def test_family_builds_one_symmetrizer_per_s(monkeypatch):
+    """Call counts, not times: one symmetrizer application per S (not per
+    (S, T)), and a repeated build enumerates no tableaux."""
+    import spechtpoly.specht as specht
+    import spechtpoly.tableaux as tableaux
+
+    calls = {"symmetrizer": 0, "enumerate": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name, key in (
+        (specht, "apply_symmetrizer", "symmetrizer"),
+        (tableaux, "enumerate_tableaux", "enumerate"),
+    ):
+        monkeypatch.setattr(module, name, counting(key, getattr(module, name)))
+    family = build_basis_family("Bmu", mu=(3, 2, 1))
+    assert len(family) == 60
+    assert calls["symmetrizer"] == len({be.s for be in family}) < len(family)
+    calls["enumerate"] = 0
+    assert build_basis_family("Bmu", mu=(3, 2, 1)) == family
+    assert calls["enumerate"] == 0
 
 
 # -- bilinear form and duals ------------------------------------------------------
