@@ -122,77 +122,57 @@ class Echelon:
         return True
 
 
-def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (reduced nonzero rows, pivot columns).
+def kernel_basis(rows: Matrix, ncols: int) -> Matrix:
+    """Basis of the right null space of the matrix with the given rows.
 
-    Entries may be ints or QQ.  The rows, scaled to primitive integers,
-    go through one ``Echelon``, and each pivot row is divided by its lead
-    only when it is emitted.  The RREF of a matrix is unique, so this
-    equals elimination over Q.
+    One vector per non-pivot column f of the rows' ``Echelon``: 1 at f and
+    ``-tail[p][f] / lead[p]`` at each pivot column p.
     """
-    ncols = len(rows[0]) if rows else 0
     ech = Echelon()
     for row in rows:
         ech.insert(_sparse(row))
-    pivots = sorted(ech.lead)
-    reduced: Matrix = []
-    for p in pivots:
-        out = [_ZERO] * ncols
-        out[p] = _ONE
-        lead = ech.lead[p]
-        for c, v in ech.tail[p].items():
-            out[c] = QQ(v, lead)
-        reduced.append(out)
-    return reduced, pivots
-
-
-def kernel_basis(rows: Matrix, ncols: int) -> Matrix:
-    """Basis of the right null space of the matrix with the given rows."""
-    if not rows:
-        return [[_ONE if i == j else _ZERO for j in range(ncols)] for i in range(ncols)]
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
     basis: Matrix = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in ech.lead:
             continue
         vec = [_ZERO] * ncols
         vec[free] = _ONE
-        for prow, pcol in zip(reduced, pivots):
-            if prow[free]:
-                vec[pcol] = -prow[free]
+        for p, tail in ech.tail.items():
+            v = tail.get(free)
+            if v:
+                vec[p] = QQ(-v, ech.lead[p])
         basis.append(vec)
     return basis
 
 
-def solve_in_span(
-    columns: Matrix, targets: Matrix
-) -> list[Vector] | None:
+def solve_in_span(columns: Matrix, targets: Matrix) -> list[Vector] | None:
     """Express each target vector as a combination of the given columns.
 
     ``columns`` and ``targets`` are lists of equal-length vectors.  Returns
     one coefficient vector per target (aligned with ``columns``), or None
-    when some target lies outside the span.
+    when some target lies outside the span.  The rows of [columns |
+    targets] go through one ``Echelon``; the coefficient of column p in
+    target t is ``tail[p][t] / lead[p]``.  The reduced row echelon form is
+    unique, so this equals elimination over Q.
     """
     ncols = len(columns)
-    ntargets = len(targets)
-    height = len(columns[0]) if columns else (len(targets[0]) if targets else 0)
-    for v in list(columns) + list(targets):
-        if len(v) != height:
-            raise ValueError("inconsistent vector lengths")
-    aug = [
-        [columns[j][i] for j in range(ncols)] + [targets[t][i] for t in range(ntargets)]
-        for i in range(height)
-    ]
-    reduced, pivots = rref(aug)
+    vectors = list(columns) + list(targets)
+    height = len(vectors[0]) if vectors else 0
+    if any(len(v) != height for v in vectors):
+        raise ValueError("inconsistent vector lengths")
+    ech = Echelon()
+    for i in range(height):
+        ech.insert(_sparse([v[i] for v in vectors]))
     # any pivot inside the target block means that target is independent
-    if any(p >= ncols for p in pivots):
+    if any(p >= ncols for p in ech.lead):
         return None
     out: list[Vector] = []
-    for t in range(ntargets):
+    for t in range(ncols, len(vectors)):
         coeffs = [_ZERO] * ncols
-        for prow, pcol in zip(reduced, pivots):
-            coeffs[pcol] = prow[ncols + t]
+        for p, tail in ech.tail.items():
+            v = tail.get(t)
+            if v:
+                coeffs[p] = QQ(v, ech.lead[p])
         out.append(coeffs)
     return out
 
@@ -207,8 +187,9 @@ def dependent_rows(rows: Matrix) -> list[int]:
     Exact; the rank is len(rows) minus their number.  The rows are first
     eliminated modulo _P.  When no denominator is divisible by _P, that is
     a ring map, so rank mod _P <= rank over Q: rows independent mod _P are
-    independent over Q.  Otherwise the rows are eliminated again over Q.
-    Entries are ints or QQs; an int is reduced without a modular inverse.
+    independent over Q.  Otherwise the rows, scaled to primitive integers,
+    go through one ``Echelon``.  Entries are ints or QQs; an int is
+    reduced without a modular inverse.
     """
     try:
         residues = [
@@ -221,33 +202,31 @@ def dependent_rows(rows: Matrix) -> list[int]:
         ]
     except ValueError:  # a denominator divisible by _P has no inverse mod _P
         residues = None
-    if residues is not None and not _eliminate(residues, _P):
+    if residues is not None and not _dependent_mod_p(residues):
         return []
-    return _eliminate(rows, 0)
+    ech = Echelon()
+    return [pos for pos, row in enumerate(rows) if not ech.insert(_sparse(row))]
 
 
-def _eliminate(rows: Matrix, p: int) -> list[int]:
-    """Leftmost-pivot elimination; positions of the dependent rows.
+def _dependent_mod_p(rows: Matrix) -> list[int]:
+    """Positions of the rows dependent on earlier ones over F_p, p = _P.
 
-    Over F_p on rows of ints, which are reduced mod p only where a value is
-    read, with sparse monic pivot rows.  When p is 0, over Q: the rows
-    scaled to primitive integers go through one ``Echelon``.
+    Leftmost-pivot elimination on rows of ints, which are reduced mod _P
+    only where a value is read, with sparse monic pivot rows.  The rows
+    are consumed.
     """
-    if not p:
-        ech = Echelon()
-        return [pos for pos, row in enumerate(rows) if not ech.insert(_sparse(row))]
     dependent: list[int] = []
     pivots: list[tuple[int, list[tuple[int, int]]]] = []
     for pos, row in enumerate(rows):
         for pcol, prow in pivots:
-            c = row[pcol] % p
+            c = row[pcol] % _P
             if c:
                 for j, v in prow:
                     row[j] -= c * v
-        lead = next((j for j, v in enumerate(row) if v % p), None)
+        lead = next((j for j, v in enumerate(row) if v % _P), None)
         if lead is None:
             dependent.append(pos)
             continue
-        inv = pow(row[lead], -1, p)
-        pivots.append((lead, [(j, v * inv % p) for j, v in enumerate(row) if v % p]))
+        inv = pow(row[lead], -1, _P)
+        pivots.append((lead, [(j, v * inv % _P) for j, v in enumerate(row) if v % _P]))
     return dependent

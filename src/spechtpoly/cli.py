@@ -6,8 +6,7 @@ import argparse
 import json
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from importlib import resources
+from functools import lru_cache
 
 from . import __version__
 from .families import FAMILIES, lookup
@@ -206,6 +205,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError("--jobs must be at least 1")
     cases = _sweep_cases(args)
     if args.jobs > 1 and len(cases) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # pulls in multiprocessing
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_run_case, cases))
     else:
@@ -264,7 +265,9 @@ def _add_family_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output", help="write the report here instead of stdout")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="spechtpoly",
         description="Higher Specht bases of coinvariant-type quotient rings.",
@@ -319,6 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def report_schema() -> dict:
     """The JSON schema every report emitted by this CLI conforms to."""
+    from importlib import resources
+
     with resources.files("spechtpoly.schemas").joinpath("report.schema.json").open(
         encoding="utf-8"
     ) as fh:

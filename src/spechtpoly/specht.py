@@ -185,20 +185,28 @@ def higher_specht(s: Tableau, t: Tableau) -> Poly:
 def higher_specht_family(s: Tableau, fillings: Sequence[Tableau]) -> list[Poly]:
     """F_T^S for every T of ``fillings``, with one symmetrizer application in all.
 
-    F_T0^S is built for T0 = fillings[0]; every other F_T^S is the
-    relabelling sigma_T F_T0^S, where sigma_T(T0(c)) = T(c) for every cell
-    c, because F_{sigma T}^S = sigma F_T^S (Ariki, Terasoma & Yamada 1997).
-    ValueError for a filling of another shape or one that is not bijective.
+    F_T0^S is built for T0 = fillings[0] and relabelled onto every other
+    T (``_relabel_onto``).  ValueError for a filling of another shape or
+    one that is not bijective.
     """
-    if not fillings:
-        return []
+    return _relabel_onto(fillings, higher_specht(s, fillings[0])) if fillings else []
+
+
+def _relabel_onto(fillings: Sequence[Tableau], p: Poly) -> list[Poly]:
+    """sigma_T p for every T of ``fillings``, where sigma_T(T0(c)) = T(c) for every cell c.
+
+    T0 = fillings[0], so the first entry is p.  For p = F_T0^S this is
+    F_T^S, because F_{sigma T}^S = sigma F_T^S (Ariki, Terasoma & Yamada
+    1997); for p = F_T0^S times a symmetric polynomial it is F_T^S times
+    that polynomial.
+    """
     t0 = fillings[0]
-    out = [higher_specht(s, t0)]
+    out = [p]
     for t in fillings[1:]:
         if t.shape != t0.shape:
             raise ValueError(f"shape mismatch: T0 has {t0.shape}, T has {t.shape}")
         image = {a: b - 1 for r0, r in zip(t0.rows, t.rows) for a, b in zip(r0, r)}
-        out.append(permute_variables([image[a] for a in range(1, t.size + 1)], out[0]))
+        out.append(permute_variables([image[a] for a in range(1, t.size + 1)], p))
     return out
 
 
@@ -294,15 +302,21 @@ def straighten(s: Tableau, t: Tableau) -> tuple:
     """
     _check_pair(s, t)
     *basis, target = higher_specht_family(s, standard_tableaux(t.shape) + [t])
-    support = sorted({e for p in basis + [target] for e in p.terms})
+    return _expand(basis, [target])[0]
+
+
+def _expand(basis: list[Poly], targets: list[Poly]) -> list[tuple]:
+    """The coefficients of each target over the basis polynomials, solved in Q[x]."""
+    support = sorted({e for p in basis + targets for e in p.terms})
     index = {e: i for i, e in enumerate(support)}
-    columns = [_poly_to_vector(p, index) for p in basis]
-    solution = solve_in_span(columns, [_poly_to_vector(target, index)])
+    solution = solve_in_span(
+        [_poly_to_vector(p, index) for p in basis], [_poly_to_vector(p, index) for p in targets]
+    )
     if solution is None:
         raise ArithmeticError(
             "polynomial does not lie in the span of the standard ones"
         )
-    return tuple(solution[0])
+    return [tuple(row) for row in solution]
 
 
 # -- basis families ----------------------------------------------------------
@@ -363,8 +377,10 @@ def _family_elements(
 
     The degree (cocharge of S plus the weight of the exponents) is known
     before F_T^S is built, so with ``degree`` given only the elements of
-    that degree are built.  Each S gets one symmetrizer application
-    (``higher_specht_family``) and each e-product is built once per call.
+    that degree are built.  Each S gets one symmetrizer application and
+    each (S, exponents) one product F_T0^S e^a, relabelled onto every T
+    (``_relabel_onto``; e^a is symmetric).  Each e-product is built once
+    per call.
     """
     out: list[BasisElement] = []
     efactors: dict[tuple[int, ...], Poly] = {}
@@ -379,9 +395,10 @@ def _family_elements(
                     efactors[exps] = _efactor(exps, n)
         if not wanted:
             continue
-        for t, base in zip(fillings, higher_specht_family(s, fillings)):
-            for exps, d in wanted:
-                poly = base * efactors[exps] if any(exps) else base
+        base = higher_specht(s, fillings[0])
+        for exps, d in wanted:
+            product = base * efactors[exps] if any(exps) else base
+            for t, poly in zip(fillings, _relabel_onto(fillings, product)):
                 out.append(BasisElement(poly, d, s, t, exps))
     return out
 

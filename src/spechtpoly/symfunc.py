@@ -9,9 +9,9 @@ from typing import Sequence
 
 from ._linalg import dependent_rows
 from .perms import conjugacy_class_size, from_cycle_type
-from .polyring import QQ
+from .polyring import QQ, permute_variables
 from .quotient import GradedQuotient
-from .specht import higher_specht_family, straighten
+from .specht import _expand, higher_specht_family
 from .tableaux import (
     Partition,
     Tableau,
@@ -326,20 +326,18 @@ def irreducible_block_check(s: Tableau, quotient: GradedQuotient) -> dict:
     n = s.size
     if n != quotient.nvars:
         raise ValueError("tableau size does not match the quotient")
-    stds = standard_tableaux(shape)
     d = cocharge(reading_word(s))
-    vecs = [quotient.coords(f, d) for f in higher_specht_family(s, stds)]
+    family = higher_specht_family(s, standard_tableaux(shape))
+    vecs = [quotient.coords(f, d) for f in family]
     dim = len(vecs) - len(dependent_rows(vecs))
     expected_dim = standard_count(shape)
     ct = character_table(n)
     char_values = []
     for rho in ct.classes:
+        # sigma F_T^S = F_{sigma T}^S: one solve per class, and the trace
         sigma = from_cycle_type(rho, n)
-        tr = 0
-        for idx, t in enumerate(stds):
-            moved = t.replace_entries({e: sigma[e - 1] + 1 for e in range(1, n + 1)})
-            tr = tr + straighten(s, moved)[idx]
-        char_values.append(tr)
+        solution = _expand(family, [permute_variables(sigma, f) for f in family])
+        char_values.append(sum(row[idx] for idx, row in enumerate(solution)))
     expected_char = [ct.chi(shape, rho) for rho in ct.classes]
     char_ok = all(a == b for a, b in zip(char_values, expected_char))
     return {

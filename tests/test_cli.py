@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import importlib
 import json
 import os
 import shutil
@@ -271,6 +272,35 @@ def test_sweep_cases_match_bench_reference():
         result = cli._run_case(json.loads(key))
         assert result["verdict"] is want["verdict"], key
         assert _digest(result) == want["digest"], key
+
+
+def test_bench_trace_targets_resolve(monkeypatch):
+    """Every function bench/spans.py wraps for ``--trace 1`` still exists, and
+    its tracer installs and restores cleanly; the bench itself is only read."""
+    monkeypatch.syspath_prepend(str(BENCH_REFERENCE.parent))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    try:
+        spans = importlib.import_module("spans")
+    finally:
+        sys.modules.pop("spans", None)
+
+    def lookup(module_name, attr):
+        owner = importlib.import_module(module_name)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            return vars(getattr(owner, cls_name))[meth]
+        return getattr(owner, attr)
+
+    originals = [lookup(module, attr) for _, module, attr in spans.TARGETS]
+    assert all(callable(fn) for fn in originals)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        wrapped = [lookup(module, attr) for _, module, attr in spans.TARGETS]
+        assert all(w is not fn for w, fn in zip(wrapped, originals))
+    finally:
+        tracer.restore()
+    assert [lookup(module, attr) for _, module, attr in spans.TARGETS] == originals
 
 
 def test_transition_empty_degree_slice(capsys):

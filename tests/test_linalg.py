@@ -1,13 +1,13 @@
 """The exact kernels of ``_linalg`` and the use of the rank in verify_basis.
 
-``rref`` and the exact pass of ``dependent_rows`` run on one fraction-free
-``Echelon`` over integers; both are checked against a dense rational
-elimination kept here as the reference, which shares no code with
-``_linalg``, and against sympy when it is installed.  ``dependent_rows``
-eliminates modulo a word-size prime first and falls back to exact
-rationals when that cannot certify independence.  These tests pin the
-fallback triggers and compare every rank it reports against the reference
-(and against sympy).
+``solve_in_span``, ``kernel_basis`` and the exact pass of ``dependent_rows``
+read one fraction-free ``Echelon`` over integers; all three are checked
+against a dense rational elimination kept here as the reference, which
+shares no code with ``_linalg``, and against sympy when it is installed.
+``dependent_rows`` eliminates modulo a word-size prime first and falls
+back to exact rationals when that cannot certify independence.  These
+tests pin the fallback triggers and compare every rank it reports against
+the reference (and against sympy).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spechtpoly import _linalg
-from spechtpoly._linalg import _P, _eliminate, dependent_rows, rref
+from spechtpoly._linalg import _P, _dependent_mod_p, dependent_rows, kernel_basis, solve_in_span
 from spechtpoly.polyring import QQ, Poly
 from spechtpoly.quotient import build_ideal, graded_quotient, verify_basis
 from spechtpoly.specht import build_basis_family
@@ -70,16 +70,29 @@ def prefix_dependent(rows) -> list[int]:
 # -- the kernel ------------------------------------------------------------------
 
 
+def exact_pass(rows):
+    """``dependent_rows`` with the mod-p certificate made to fail, so the exact pass decides."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_linalg, "_dependent_mod_p", lambda residues: [0])
+        return dependent_rows(rows)
+
+
 @pytest.fixture
 def passes(monkeypatch):
-    """The moduli of the elimination passes dependent_rows runs (0: over Q)."""
+    """The passes dependent_rows runs: _P for the mod-p certificate, 0 for the exact one."""
     seen = []
 
-    def record(rows, p):
-        seen.append(p)
-        return _eliminate(rows, p)
+    def mod_p(rows):
+        seen.append(_P)
+        return _dependent_mod_p(rows)
 
-    monkeypatch.setattr(_linalg, "_eliminate", record)
+    class CountingEchelon(_linalg.Echelon):
+        def __init__(self):
+            seen.append(0)
+            super().__init__()
+
+    monkeypatch.setattr(_linalg, "_dependent_mod_p", mod_p)
+    monkeypatch.setattr(_linalg, "Echelon", CountingEchelon)
     return seen
 
 
@@ -90,7 +103,7 @@ def test_independent_rows_are_certified_mod_p(passes):
 
 def test_singular_mod_p_but_regular_over_q(passes):
     rows = [[1, 0], [0, _P]]
-    assert _eliminate([list(row) for row in rows], _P) == [1]
+    assert _dependent_mod_p([list(row) for row in rows]) == [1]
     assert dependent_rows(rows) == []
     assert passes == [_P, 0]  # the certificate fails, the exact pass finds rank 2
 
@@ -163,16 +176,16 @@ def matrices(draw):
 @given(matrices())
 def test_exact_pass_matches_rational_reference(rows):
     copy = [list(row) for row in rows]
-    assert _eliminate(rows, 0) == prefix_dependent(rows)
+    assert exact_pass(rows) == prefix_dependent(rows)
     assert rows == copy
 
 
 def test_exact_pass_zero_entries_and_zero_rows():
     # int and QQ zeros never reach the echelon as entries
-    assert _eliminate([[0, 2, 0], [0, 0, 0], [0, 4, 0], [1, 0, 0]], 0) == [1, 2]
-    assert _eliminate([[0, 0], [QQ(0), QQ(0)]], 0) == [0, 1]
-    assert _eliminate([[0, QQ(1, 2), 0], [3, 0, 0], [3, QQ(1), 0]], 0) == [2]
-    assert _eliminate([[1, 0, 0], [0, 0, 1], [0, -2, 0], [0, 0, 0]], 0) == [3]
+    assert exact_pass([[0, 2, 0], [0, 0, 0], [0, 4, 0], [1, 0, 0]]) == [1, 2]
+    assert exact_pass([[0, 0], [QQ(0), QQ(0)]]) == [0, 1]
+    assert exact_pass([[0, QQ(1, 2), 0], [3, 0, 0], [3, QQ(1), 0]]) == [2]
+    assert exact_pass([[1, 0, 0], [0, 0, 1], [0, -2, 0], [0, 0, 0]]) == [3]
 
 
 def test_echelon_holds_the_reduced_form():
@@ -186,16 +199,58 @@ def test_echelon_holds_the_reduced_form():
     assert not ech.insert({})
 
 
+def reference_solve(columns, targets):
+    """``solve_in_span`` read off ``reference_rref`` of [columns | targets]."""
+    ncols = len(columns)
+    vectors = list(columns) + list(targets)
+    reduced, pivots = reference_rref([list(row) for row in zip(*vectors)])
+    if any(p >= ncols for p in pivots):
+        return None
+    out = []
+    for t in range(ncols, len(vectors)):
+        coeffs = [QQ(0)] * ncols
+        for prow, p in zip(reduced, pivots):
+            coeffs[p] = prow[t]
+        out.append(coeffs)
+    return out
+
+
+def _cut(ncols):
+    """Where a drawn matrix splits into [columns | targets]: the last one or two are targets."""
+    return max(1, ncols - (1 + ncols % 2))
+
+
+def _split(rows):
+    """The columns of a drawn matrix as (columns, targets)."""
+    vectors = [list(col) for col in zip(*rows)]
+    return vectors[: _cut(len(vectors))], vectors[_cut(len(vectors)):]
+
+
 @given(matrices())
-def test_rref_matches_rational_reference(rows):
+def test_kernel_and_solve_match_rational_reference(rows):
     copy = [list(row) for row in rows]
-    reduced, pivots = rref(rows)
-    assert (reduced, pivots) == reference_rref(rows)
-    assert all(isinstance(x, QQ) for row in reduced for x in row)
+    ncols = len(rows[0]) if rows else 3
+    kernel = kernel_basis(rows, ncols)
+    assert all(isinstance(x, QQ) for vec in kernel for x in vec)
+    for vec in kernel:
+        assert all(sum(x * v for x, v in zip(row, vec)) == 0 for row in rows)
+    pivots = reference_rref(rows)[1]
+    assert len(kernel) == ncols - len(pivots)
+    # the kernel is in reduced form: 1 at its own non-pivot column, 0 at the others
+    free = [c for c in range(ncols) if c not in pivots]
+    assert [[vec[c] for c in free] for vec in kernel] == [
+        [QQ(int(c == f)) for c in free] for f in free
+    ]
+    if rows:
+        columns, targets = _split(rows)
+        solution = solve_in_span(columns, targets)
+        assert solution == reference_solve(columns, targets)
+        if solution is not None:
+            assert all(isinstance(x, QQ) for vec in solution for x in vec)
+        # integer entries take the same path as their QQ values
+        ints = [[int(x.numerator) for x in row] for row in rows]
+        assert solve_in_span(*_split(ints)) == reference_solve(*_split(ints))
     assert rows == copy
-    # integer entries take the same path as their QQ values
-    ints = [[int(x.numerator) for x in row] for row in rows]
-    assert rref(ints) == reference_rref(ints)
 
 
 def _sympy_rows(sympy, rows):
@@ -203,27 +258,50 @@ def _sympy_rows(sympy, rows):
 
 
 @given(matrices())
-def test_rref_matches_sympy(rows):
+def test_kernel_and_solve_match_sympy(rows):
     sympy = pytest.importorskip("sympy")
-    reduced, pivots = rref(rows)
     if not rows:
-        assert (reduced, pivots) == ([], [])
+        assert solve_in_span([], []) == []
         return
-    want, want_pivots = sympy.Matrix(_sympy_rows(sympy, rows)).rref()
-    assert pivots == list(want_pivots)
-    assert _sympy_rows(sympy, reduced) == [list(want.row(i)) for i in range(len(pivots))]
+    matrix = sympy.Matrix(_sympy_rows(sympy, rows))
+    want = [list(v) for v in matrix.nullspace()]
+    assert _sympy_rows(sympy, kernel_basis(rows, len(rows[0]))) == want
+    cut = _cut(len(rows[0]))
+    solution = solve_in_span(*_split(rows))
+    if matrix[:, :cut].rank() != matrix.rank():
+        assert solution is None
+        return
+    # the solution with zeros at the non-pivot columns of [columns | targets]
+    reduced, pivots = matrix.rref()
+    want = [[0] * cut for _ in range(cut, matrix.cols)]
+    for i, p in enumerate(pivots):
+        for t in range(cut, matrix.cols):
+            want[t - cut][p] = reduced[i, t]
+    assert _sympy_rows(sympy, solution) == want
 
 
-def test_rref_shapes():
+def test_kernel_and_solve_shapes():
     half = QQ(1, 2)
     # wide: one row
-    assert rref([[QQ(0), QQ(2), QQ(3)]]) == ([[QQ(0), QQ(1), QQ(3, 2)]], [1])
-    # tall: a column with a zero row and a duplicate
-    assert rref([[QQ(0)], [half], [half]]) == ([[QQ(1)]], [0])
-    assert rref([[QQ(0), QQ(0)]]) == ([], [])
-    assert rref([]) == ([], [])
+    assert kernel_basis([[QQ(0), QQ(2), QQ(3)]], 3) == [
+        [QQ(1), QQ(0), QQ(0)], [QQ(0), QQ(-3, 2), QQ(1)]
+    ]
+    # no rows: the identity
+    assert kernel_basis([], 2) == [[QQ(1), QQ(0)], [QQ(0), QQ(1)]]
+    assert kernel_basis([[QQ(0), QQ(0)]], 2) == [[QQ(1), QQ(0)], [QQ(0), QQ(1)]]
+    assert kernel_basis([[1, 2], [3, 4]], 2) == []
+    # tall: one column with a zero entry and a duplicate
+    assert solve_in_span([[QQ(0), half, half]], [[QQ(0), QQ(1), QQ(1)]]) == [[QQ(2)]]
+    assert solve_in_span([[QQ(0), half, half]], [[QQ(1), QQ(1), QQ(1)]]) is None
+    assert solve_in_span([[1, 0], [0, 1]], []) == []
+    assert solve_in_span([], [[0, 0]]) == [[]]
+    assert solve_in_span([], [[0, 1]]) is None
     # a negative pivot and entries that only divide out at the end
-    assert rref([[QQ(-3), QQ(1)], [QQ(6), QQ(4)]]) == reference_rref([[-3, 1], [6, 4]])
+    assert solve_in_span([[-3, 6], [1, 4]], [[1, 0], [0, 1]]) == reference_solve(
+        [[-3, 6], [1, 4]], [[1, 0], [0, 1]]
+    )
+    with pytest.raises(ValueError):
+        solve_in_span([[1, 2]], [[1]])
 
 
 # -- verify_basis against an independent exact rank ------------------------------
