@@ -121,28 +121,27 @@ class Echelon:
             owners.setdefault(c, set()).add(p)
         return True
 
+    def null_vector(self, f: int, ncols: int) -> Vector:
+        """The null vector that is 1 at the non-pivot column f, 0 at the other
+        non-pivot columns and ``-tail[p][f] / lead[p]`` at each pivot p."""
+        vec = [_ZERO] * ncols
+        vec[f] = _ONE
+        for p, tail in self.tail.items():
+            v = tail.get(f)
+            if v:
+                vec[p] = QQ(-v, self.lead[p])
+        return vec
+
 
 def kernel_basis(rows: Matrix, ncols: int) -> Matrix:
     """Basis of the right null space of the matrix with the given rows.
 
-    One vector per non-pivot column f of the rows' ``Echelon``: 1 at f and
-    ``-tail[p][f] / lead[p]`` at each pivot column p.
+    One ``Echelon.null_vector`` per non-pivot column, in column order.
     """
     ech = Echelon()
     for row in rows:
         ech.insert(_sparse(row))
-    basis: Matrix = []
-    for free in range(ncols):
-        if free in ech.lead:
-            continue
-        vec = [_ZERO] * ncols
-        vec[free] = _ONE
-        for p, tail in ech.tail.items():
-            v = tail.get(free)
-            if v:
-                vec[p] = QQ(-v, ech.lead[p])
-        basis.append(vec)
-    return basis
+    return [ech.null_vector(f, ncols) for f in range(ncols) if f not in ech.lead]
 
 
 def solve_in_span(columns: Matrix, targets: Matrix) -> list[Vector] | None:

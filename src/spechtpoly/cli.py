@@ -60,9 +60,12 @@ def _formula_expansion(family: str, params: dict) -> GradedSchurExpansion:
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _json_report(report: dict, path: str | None) -> None:
@@ -103,35 +106,26 @@ def cmd_frobenius(args: argparse.Namespace) -> int:
 
 
 def cmd_transition(args: argparse.Namespace) -> int:
+    if args.format == "csv" and args.output is None:
+        raise UsageError("--format csv requires --output (a sidecar file is written)")
     mu = tuple(args.mu)
     result = transition_matrix(mu, args.d, normalize=args.normalize)
     verdict, witness = almost_lower_triangular(result.matrix)
-    matrix = [[str(v) for v in row] for row in result.matrix]
-    labels = {
-        "rows": [be.label() for be in result.rows],
-        "cols": [be.label() for be in result.cols],
-    }
     config = {"mu": list(mu), "d": args.d, "normalize": args.normalize}
+    report = _report_skeleton("transition", config)
+    report["matrix"] = [[str(v) for v in row] for row in result.matrix]
+    report["rows"] = [be.label() for be in result.rows]
+    report["cols"] = [be.label() for be in result.cols]
+    report["almost_lower_triangular"] = verdict
+    report["witness"] = None if witness is None else [[str(v) for v in row] for row in witness]
+    path = args.output
     if args.format == "csv":
-        if args.output is None:
-            raise UsageError("--format csv requires --output (a sidecar file is written)")
-        lines = [",".join(row) for row in matrix]
-        _emit("\n".join(lines) + "\n", args.output)
-        sidecar = _report_skeleton("transition", config)
-        sidecar.update(labels)
-        sidecar["almost_lower_triangular"] = verdict
-        if witness is not None:
-            sidecar["witness"] = [[str(v) for v in row] for row in witness]
-        _json_report(sidecar, args.output + ".labels.json")
-    else:
-        report = _report_skeleton("transition", config)
-        report["matrix"] = matrix
-        report.update(labels)
-        report["almost_lower_triangular"] = verdict
-        report["witness"] = (
-            None if witness is None else [[str(v) for v in row] for row in witness]
-        )
-        _json_report(report, args.output)
+        lines = [",".join(row) for row in report.pop("matrix")]
+        _emit("\n".join(lines) + "\n", path)
+        if witness is None:
+            del report["witness"]
+        path += ".labels.json"
+    _json_report(report, path)
     return 0 if verdict else 1
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable, Sequence
 
-from ._linalg import Echelon, _integral_row, dependent_rows, kernel_basis, solve_in_span
+from ._linalg import Echelon, _integral_row, _sparse, dependent_rows, solve_in_span
 from .polyring import (
     Exponent,
     Poly,
@@ -636,27 +636,27 @@ def transition_matrix(
 def almost_lower_triangular(matrix: list[list]) -> tuple[bool, list[list] | None]:
     """Find upper triangular A with M*A lower triangular and nonzero diagonal.
 
-    Returns (True, A) with the witness, or (False, None).  Column j of A
-    mixes only the first j+1 columns of M; its existence is decided per
-    column by an exact kernel computation.
+    Returns (True, A) with A integral, or (False, None).  A exists exactly
+    when every leading principal minor of M is nonzero: M*A = L gives
+    M_k*A_k = L_k on the leading k x k blocks; conversely, with M_j and
+    M_{j+1} invertible, ker M[0:j, 0:j+1] is spanned by one v with
+    v_j != 0, and row j of M has a nonzero dot product with v.  The rows
+    of M go into one ``Echelon`` in order; given M_j invertible, M_{j+1}
+    is invertible exactly when the pivot of row j is column j.  Before
+    row j goes in, the pivots are 0..j-1, so the null vector for column j
+    is that v, and column j of A is v as primitive integers, positive at
+    j: the only witness column with those two properties.
     """
     t = len(matrix)
     if any(len(row) != t for row in matrix):
         raise ValueError("matrix must be square")
-    cols_a: list[list] = []
-    for j in range(t):
-        upper = [[matrix[r][c] for c in range(j + 1)] for r in range(j)]
-        target = [matrix[j][c] for c in range(j + 1)]
-        pick = None
-        for vec in kernel_basis(upper, j + 1):
-            dot = sum(target[c] * vec[c] for c in range(j + 1))
-            if dot:
-                pick = vec
-                break
-        if pick is None:
+    ech = Echelon()
+    cols_a: list[list[int]] = []
+    for j, row in enumerate(matrix):
+        cols_a.append(_integral_row(ech.null_vector(j, t)))
+        ech.insert(_sparse(row))
+        if j not in ech.lead:
             return False, None
-        pick = _integral_row(pick)
-        cols_a.append(pick + [0] * (t - j - 1))
     witness = [[cols_a[j][i] for j in range(t)] for i in range(t)]
     # internal sanity: M * A really is lower triangular with nonzero diagonal,
     # checked in ints: A is integral, and scaling a row of M to integers keeps

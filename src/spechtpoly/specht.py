@@ -328,18 +328,18 @@ class BasisElement:
 
     poly: Poly
     degree: int
-    s: Tableau | None = None
-    t: Tableau | None = None
+    s: Tableau
+    t: Tableau
     exponents: tuple[int, ...] = ()
     xpower: int = 0
 
     def label(self) -> dict:
-        out: dict = {"degree": self.degree}
-        if self.s is not None:
-            out["shape"] = list(self.s.shape)
-            out["S"] = format_tableau(self.s)
-        if self.t is not None:
-            out["T"] = format_tableau(self.t)
+        out: dict = {
+            "degree": self.degree,
+            "shape": list(self.s.shape),
+            "S": format_tableau(self.s),
+            "T": format_tableau(self.t),
+        }
         if any(self.exponents):
             out["exponents"] = list(self.exponents)
         if self.xpower:
@@ -354,8 +354,8 @@ def _s_sort_key(s: Tableau):
 def family_sort_key(be: BasisElement):
     return (
         be.degree,
-        _s_sort_key(be.s) if be.s is not None else ((), ()),
-        last_letter_key(be.t) if be.t is not None else (),
+        _s_sort_key(be.s),
+        last_letter_key(be.t),
         be.exponents,
         be.xpower,
     )

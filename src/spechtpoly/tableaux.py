@@ -610,15 +610,13 @@ def last_letter_compare(t1: Tableau, t2: Tableau) -> int:
 
 
 @lru_cache(maxsize=None)
-def _standard_cached(shape: Partition) -> tuple[tuple[Tableau, ...], tuple[Tableau, ...]]:
-    """The standard tableaux of a shape by reading word, and in last letter order."""
-    by_word = tuple(enumerate_tableaux(shape, flavor="standard"))
-    return by_word, tuple(sorted(by_word, key=last_letter_key))
+def _standard_cached(shape: Partition) -> tuple[Tableau, ...]:
+    return tuple(sorted(enumerate_tableaux(shape, flavor="standard"), key=last_letter_key))
 
 
-def standard_tableaux(shape: Sequence[int], last_letter: bool = True) -> list[Tableau]:
-    """Standard tableaux of a shape, in last letter order by default; a fresh list."""
-    return list(_standard_cached(check_partition(shape) if shape else ())[last_letter])
+def standard_tableaux(shape: Sequence[int]) -> list[Tableau]:
+    """Standard tableaux of a shape in last letter order; a fresh list."""
+    return list(_standard_cached(check_partition(shape) if shape else ()))
 
 
 @lru_cache(maxsize=None)

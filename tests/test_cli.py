@@ -178,29 +178,28 @@ def test_transition_json(capsys):
 
 
 def test_transition_csv_with_sidecar(tmp_path, capsys):
-    out = tmp_path / "matrix.csv"
-    code = main(
-        [
-            "transition",
-            "--mu",
-            "3,3",
-            "--d",
-            "2",
-            "--format",
-            "csv",
-            "--output",
-            str(out),
-        ]
-    )
-    assert code == 0
-    rows = out.read_text().strip().split("\n")
-    assert len(rows) == 9 and all(len(r.split(",")) == 9 for r in rows)
-    sidecar = json.loads((tmp_path / "matrix.csv.labels.json").read_text())
-    assert sidecar["command"] == "transition"
-    assert sidecar["almost_lower_triangular"] is True
-    assert len(sidecar["rows"]) == 9
-    check_schema(sidecar)
-    assert capsys.readouterr().out == ""
+    for job, rows, verdict in (
+        (["--mu", "3,3", "--d", "2"], 9, True),
+        (["--mu", "3,2,1", "--d", "3"], 24, False),
+    ):
+        out = tmp_path / f"{job[1]}.csv"
+        code = main(["transition", *job, "--format", "csv", "--output", str(out)])
+        assert code == (0 if verdict else 1)
+        lines = out.read_text().strip().split("\n")
+        assert len(lines) == rows and all(len(r.split(",")) == rows for r in lines)
+        sidecar = json.loads(Path(f"{out}.labels.json").read_text())
+        assert sidecar["command"] == "transition"
+        assert sidecar["almost_lower_triangular"] is verdict
+        assert len(sidecar["rows"]) == rows
+        check_schema(sidecar)
+        assert capsys.readouterr().out == ""
+        # the sidecar is the JSON report of the same job without its matrix
+        # (and without a null witness); the CSV holds that matrix
+        _, report = run_json(capsys, ["transition", *job])
+        assert [",".join(row) for row in report.pop("matrix")] == lines
+        if report["witness"] is None:
+            del report["witness"]
+        assert sidecar == report
 
 
 def test_transition_csv_requires_output(capsys):
@@ -241,21 +240,16 @@ def _digest(report: dict) -> str:
 
 @pytest.mark.parametrize(
     "argv",
-    [["transition", "--mu", "2,1", "--d", "1"]]
-    + [
-        ["transition", "--mu", "3,2,1", "--d", str(d), "--normalize", norm]
-        for d in range(5)
-        for norm in ("raw", "primitive")
-    ]
-    + [
-        ["verify", "--family", "Rmu", "--mu", "2,1"],
-        ["verify", "--family", "Rnks", "--n", "5", "--k", "4", "--s", "2"],
-        ["verify", "--family", "Rnks", "--n", "5", "--k", "4", "--s", "3"],
+    [
+        job.split(" ")
+        for job in _bench_reference()["jobs"]
+        if job.startswith(("transition ", "verify "))
     ],
     ids=lambda argv: " ".join(argv[2:]),
 )
 def test_transition_report_matches_bench_reference(capsys, argv):
-    # every transition and verify job of the benchmark's pools
+    # every transition and verify job of the reference: the witness of each
+    # transition, triangular or not, is part of its digest
     want = _bench_reference()["jobs"][" ".join(argv)]
     code = main(argv)
     report = json.loads(capsys.readouterr().out)
@@ -504,6 +498,39 @@ def test_specht_eval_shape_mismatch(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "shape mismatch" in captured.err
+
+
+_CSV = ["transition", "--mu", "2,1", "--d", "1", "--format", "csv"]
+
+
+@pytest.mark.parametrize(
+    "argv, sidecar",
+    [
+        (["verify", "--family", "Rn", "--n", "3"], False),
+        (["frobenius", "--family", "Rn", "--n", "3"], False),
+        (["transition", "--mu", "2,1", "--d", "1"], False),
+        (["sweep", "--family", "Rn", "--max-n", "2"], False),
+        (["hilbert", "--family", "Rn", "--n", "3"], False),
+        (["specht-eval", "--s", "1 1/2", "--t", "1 2/3"], False),
+        (_CSV, False),
+        (_CSV, True),
+    ],
+    ids=["verify", "frobenius", "transition", "sweep", "hilbert", "specht-eval",
+         "transition-csv", "transition-csv-sidecar"],
+)
+def test_unwritable_output_is_usage_error(tmp_path, capsys, argv, sidecar):
+    # a missing directory, or (sidecar) a directory where the CSV's sidecar goes
+    out = tmp_path / "missing" / "out"
+    if sidecar:
+        out = tmp_path / "out.csv"
+        (tmp_path / "out.csv.labels.json").mkdir()
+    code = main([*argv, "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: cannot write {out}")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert out.exists() is sidecar
 
 
 def test_output_flag_writes_file(tmp_path):

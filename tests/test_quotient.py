@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spechtpoly._linalg import solve_in_span
+from spechtpoly._linalg import _integral_row, kernel_basis, solve_in_span
 from spechtpoly.families import FAMILIES
 from spechtpoly.polyring import QQ, Poly, elementary, monomials_of_degree
 from spechtpoly.quotient import (
@@ -512,6 +512,81 @@ def test_almost_lower_triangular_rational_matrix():
         for j in range(i, 3):
             entry = sum(m[i][c] * witness[c][j] for c in range(3))
             assert (entry != 0) == (i == j), (i, j)
+
+
+def reference_almost_lower_triangular(matrix):
+    """The witness column by column: for each j, the first kernel basis vector of
+    M[0:j, 0:j+1] with a nonzero dot product with row j, as primitive integers."""
+    t = len(matrix)
+    cols_a = []
+    for j in range(t):
+        upper = [[matrix[r][c] for c in range(j + 1)] for r in range(j)]
+        target = [matrix[j][c] for c in range(j + 1)]
+        pick = next(
+            (
+                vec
+                for vec in kernel_basis(upper, j + 1)
+                if sum(target[c] * vec[c] for c in range(j + 1))
+            ),
+            None,
+        )
+        if pick is None:
+            return False, None
+        cols_a.append(_integral_row(pick) + [0] * (t - j - 1))
+    return True, [[cols_a[j][i] for j in range(t)] for i in range(t)]
+
+
+@st.composite
+def square_matrices(draw):
+    """(kind, M): M square of size 0-7 with int or QQ entries.
+
+    "lu" is L*U with triangular factors of nonzero diagonal, so every leading
+    minor is nonzero; "dependent" makes the leading block M_k singular for one
+    k; "zero rows" zeroes some rows.
+    """
+    t = draw(st.integers(0, 7))
+    entries = draw(
+        st.sampled_from(
+            [st.integers(-3, 3), st.builds(QQ, st.integers(-3, 3), st.integers(1, 4))]
+        )
+    )
+    kind = draw(st.sampled_from(["free", "lu", "dependent", "zero rows"]))
+    if kind == "lu":
+        nonzero = entries.filter(bool)
+        lower = [[draw(nonzero) if c == r else draw(entries) if c < r else 0 for c in range(t)]
+                 for r in range(t)]
+        upper = [[draw(nonzero) if c == r else draw(entries) if c > r else 0 for c in range(t)]
+                 for r in range(t)]
+        return kind, [
+            [sum(lower[r][i] * upper[i][c] for i in range(t)) for c in range(t)]
+            for r in range(t)
+        ]
+    m = draw(st.lists(st.lists(entries, min_size=t, max_size=t), min_size=t, max_size=t))
+    if kind == "dependent" and t:
+        k = draw(st.integers(1, t))
+        coeffs = [draw(entries) for _ in range(k - 1)]
+        for c in range(k):
+            m[k - 1][c] = sum(coeffs[i] * m[i][c] for i in range(k - 1))
+    if kind == "zero rows":
+        for r in draw(st.sets(st.integers(0, max(t - 1, 0)), max_size=t)):
+            m[r] = [0 * x for x in m[r]]
+    return kind, m
+
+
+@given(square_matrices())
+def test_witness_matches_per_column_reference(case):
+    kind, m = case
+    copy = [list(row) for row in m]
+    verdict, witness = almost_lower_triangular(m)
+    assert (verdict, witness) == reference_almost_lower_triangular(m)
+    assert m == copy
+    if kind == "lu":
+        assert verdict
+    if kind == "dependent" and m or kind == "zero rows" and any(not any(row) for row in m):
+        assert not verdict
+    if verdict:
+        assert all(type(v) is int for row in witness for v in row)
+        assert all(witness[j][j] > 0 for j in range(len(m)))
 
 
 # -- the integer builder: rational fallback, integrality and oracles ----------
