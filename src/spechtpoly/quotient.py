@@ -6,8 +6,12 @@ degree-d monomial reduces (modulo the ideal) into the span of
 V = {x_i * f : f in F}, and the ideal's new relations are the shifted
 reductions of the previous degree's border monomials (V minus F) plus any
 generators of degree d; ``GradedQuotient._build`` proves that these rows
-suffice.  Row reduction happens over V-coordinates only, and the table of
-a monomial outside V is computed when it is first read.
+suffice.  A chain criterion skips the row x_i * (m - NF(m)) of a border
+monomial m when m / x_k is not free for some k < i, or when x_i * m lies
+outside V and m / x_j is not free for j the largest index in m; the same
+docstring proves those rows redundant.  Row reduction happens over
+V-coordinates only, and the table of a monomial outside V is computed
+when it is first read.
 """
 
 from __future__ import annotations
@@ -156,6 +160,26 @@ class GradedQuotient:
           phi(x_i * b_m) = sum c_f [phi(x_i * b_{x_j f}) - phi(x_j * b_{x_i f})],
           differences of border rows (zero where the monomial is free).
 
+        A border row is also skipped when a chain criterion, the border
+        analogue of Gebauer & Moeller (1988), proves it redundant.  Let
+        K(m) be the k with x_k | m and u = m / x_k not free (``_chain``).
+        The row x_i * b_m is skipped when (a) i > min K(m), or (b) x_i * m
+        is outside V and maxindex(m) is in K(m).  For k != i in K(m) and
+        NF(u) = sum c_f f, every f free and smaller than u,
+
+            phi(x_i * b_m) - phi(x_k * b_{x_i u}) = x_k NF(x_i u) - x_i NF(x_k u)
+                = sum c_f [phi(x_i * b_{x_k f}) - phi(x_k * b_{x_i f})],
+
+        where the rows on the right have the product x_i x_k f, smaller
+        than x_i * m.  The partner x_k * b_{x_i u} has the product x_i * m.
+        In (a), k = min K(m) < i: the partner is a border row of smaller
+        index, zero (x_i u free) or interior, which the case above writes
+        over smaller products.  In (b), i < maxindex(m) = k (otherwise the
+        row is a zero row), and the partner is a zero row (x_k x_i u
+        outside V, k >= maxindex(x_i u)), zero or interior.  So, by
+        induction on (product, index), every border row lies in the span of
+        the kept rows.
+
         A pivot is the leftmost column of the ascending ``vlist``, the
         largest monomial in grevlex with x_n largest, so each free set is
         the grevlex normal set: closed under division, as degree d+1 needs.
@@ -179,7 +203,8 @@ class GradedQuotient:
         """Eliminate the degree-d relations over V-coordinates in one ``Echelon``.
 
         The rows are the generators of degree d, then x_i * (m - NF(m)) for
-        each source monomial m of degree d-1, with denominators cleared when
+        each source monomial m of degree d-1 and each i that the chain
+        criterion of ``_build`` keeps, with denominators cleared when
         a lower degree's table holds a QQ; the table entries are
         ``-tail / lead``.  Returns the degree and the number of rows inserted.
         """
@@ -227,11 +252,16 @@ class GradedQuotient:
         for m in sources:
             redm = prev.normal_form(m)
             maxi = _maxindex(m)
-            for i in range(n):
+            chain = self._chain(prev, m)
+            # rule (a) keeps i <= min K(m); rule (b) drops every route row
+            # when maxindex(m) is in K(m), the zero-row skip those with i >= maxi
+            top = chain[0] if chain else n - 1
+            route_below = 0 if chain and chain[-1] == maxi else maxi
+            for i in range(top + 1):
                 up = _bump(m, i)
                 pos = vindex.get(up)
-                if pos is None and i >= maxi:
-                    continue  # reduction of up is literally the shifted redm
+                if pos is None and i >= route_below:
+                    continue
                 acc = {}
                 if pos is not None:
                     acc[pos] = 1
@@ -266,6 +296,11 @@ class GradedQuotient:
         )
         times = [[red[vlist[pos]] for pos in cols] for cols in shift_col]
         return _DegreeData(free, free_index, vlist, red, times, prev, integral), rows
+
+    def _chain(self, prev: _DegreeData, m: Exponent) -> list[int]:
+        """K(m), ascending, for m of ``prev``'s degree: the k with x_k | m and m / x_k not free."""
+        lower = prev.prev.free_index
+        return [k for k, e in enumerate(m) if e and _drop(m, k) not in lower]
 
     # -- inspection ----------------------------------------------------------
 

@@ -757,16 +757,20 @@ def _corpus_id(case):
 
 
 class _AllRowsQuotient(GradedQuotient):
-    """The reference build: every degree from the rows of every non-free monomial.
+    """The reference build: every degree from every row of every non-free monomial.
 
     Those rows span x * I_{d-1} on their own, so this build needs no argument
-    about border rows.
+    about border rows or the chain criterion: K(m) is empty, so no row is
+    skipped but the ones that are literally zero.
     """
 
     def _build_degree(self, d, sources):
         free = self._by_degree[d - 1].free_index
         nonfree = [m for m in monomials_of_degree(self.nvars, d - 1) if m not in free]
         return super()._build_degree(d, nonfree)
+
+    def _chain(self, prev, m):
+        return []
 
 
 def _full_table(q: GradedQuotient):
@@ -876,7 +880,7 @@ def test_dense_ideals_commute_and_match_all_rows_build(spec):
     "case", CORPUS + [("Rn", {"n": 6}), ("Rmu", {"mu": (3, 3, 2)})], ids=_corpus_id
 )
 def test_no_degree_falls_back(case):
-    """Border rows alone give commuting maps and the pivot count of every degree."""
+    """The rows the criterion keeps give commuting maps and the pivot count of every degree."""
     family, params = case
     q = GradedQuotient(build_ideal(family, **params))
     assert len(q.build_counts) == q.max_degree + 2  # the last degree built is zero
@@ -905,3 +909,24 @@ def test_lazy_table_matches_eager_fill(spec):
         for m in reversed(monomials_of_degree(q.nvars, d)):
             assert q.reduce_monomial(m) == eager[d][m], m
             assert q.reduce_monomial(m) is q.reduce_monomial(m)  # memoised
+
+
+@pytest.mark.parametrize("spec", [build_ideal("Rn", n=5), build_ideal("Rmu", mu=(3, 2, 1))])
+def test_all_rows_reference_inserts_more_rows(spec):
+    def total(q):
+        return sum(rows for rows, _ in q.build_counts)
+
+    assert total(_AllRowsQuotient(spec)) > total(GradedQuotient(spec))
+
+
+def test_build_counts_frozen():
+    """(rows, pivots) per degree: a weaker or reverted row criterion shows up here."""
+    assert GradedQuotient(build_ideal("Rn", n=5)).build_counts == [
+        (0, 0), (1, 1), (5, 5), (14, 13), (26, 25), (41, 38),
+        (52, 48), (58, 50), (53, 43), (39, 30), (23, 16), (7, 5),
+    ]
+    assert GradedQuotient(build_ideal("Rmu", mu=(3, 2, 1))).build_counts == [
+        (0, 0), (1, 1), (6, 6), (26, 24), (86, 67), (126, 72),
+    ]
+    counts = GradedQuotient(build_ideal("Rn", n=6)).build_counts
+    assert [sum(col) for col in zip(*counts)] == [1991, 1764]
