@@ -11,6 +11,7 @@ from functools import lru_cache
 from . import __version__
 from .families import FAMILIES, lookup
 from .quotient import (
+    GradedQuotient,
     almost_lower_triangular,
     build_ideal,
     graded_quotient,
@@ -173,8 +174,9 @@ def _run_case(case: dict) -> dict:
     A case that raises is recorded with its error and a false verdict, and
     its traceback goes to stderr, so one bad case does not abort the sweep.
     """
-    try:
-        body = _verify_report(case["family"], case["params"])
+    try:  # uncached: a long sweep must not keep every case's tables alive
+        quotient = GradedQuotient(build_ideal(case["family"], **case["params"]))
+        body = verify_family(quotient, case["family"], case["params"])
     except Exception as exc:
         print(f"sweep case {case['family']} {case['params']} raised:", file=sys.stderr)
         traceback.print_exc()

@@ -8,9 +8,24 @@ from __future__ import annotations
 
 import itertools
 from math import factorial
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 Perm = tuple[int, ...]
+Relabeller = Callable[[tuple[int, ...]], tuple[int, ...]]
+
+
+def relabeller(sigma: Sequence[int]) -> Relabeller:
+    """The exponent map of x_i -> x_sigma(i), sigma 0-based and unchecked.
+
+    The exponent at i moves to sigma(i); the package's only such map.
+    """
+    n = len(sigma)
+    inverse = [0] * n
+    for i, j in enumerate(sigma):
+        inverse[j] = i
+    # itemgetter of one index returns the entry, not a 1-tuple
+    return itemgetter(*inverse) if n > 1 else tuple
 
 
 def sign(a: Perm) -> int:

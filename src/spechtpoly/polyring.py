@@ -18,10 +18,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction as QQ
 from math import gcd, lcm
-from operator import add, itemgetter
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .perms import Perm
+from .perms import Perm, relabeller
 
 Exponent = tuple[int, ...]
 
@@ -369,11 +369,7 @@ def permute_variables(sigma: Perm, p: Poly) -> Poly:
     n = p.nvars
     if sorted(sigma) != list(range(n)):
         raise ValueError(f"{tuple(sigma)} is not a permutation of range({n})")
-    inverse = [0] * n  # the exponent at sigma(i) is the old one at i
-    for i, j in enumerate(sigma):
-        inverse[j] = i
-    # itemgetter of one index returns the entry, not a 1-tuple
-    relabel = itemgetter(*inverse) if n > 1 else tuple
+    relabel = relabeller(sigma)
     return Poly._raw(n, {relabel(e): c for e, c in p.terms.items()})
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from . import perms
@@ -48,31 +47,25 @@ def column_group(t: Tableau) -> list[tuple[int, ...]]:
     return [tuple(row) for row in t.transpose().rows]
 
 
-Relabeller = Callable[[Exponent], Exponent]
-
-
 @lru_cache(maxsize=256)
 def _symmetric_group(
     entries: tuple[int, ...], n: int, signed: bool
-) -> list[tuple[Relabeller, bool]]:
+) -> list[tuple[perms.Relabeller, bool]]:
     """(relabel, negate) for every permutation sigma of the variables x_e, e in entries.
 
-    relabel maps an exponent tuple to the one of sigma applied to the
-    monomial: sigma moves the exponent at variable i to variable
-    sigma(i), as permute_variables.  negate is sign(sigma) < 0 when signed.
-    Keyed by the sorted entries, so every tableau with that row or column
-    shares one list: the row and column groups of a T are built once, not
-    once per F_T^S.  The cache is bounded; a transition session over
+    relabel is ``perms.relabeller(sigma)``, sigma fixing every variable
+    outside entries; negate is sign(sigma) < 0 when signed.  Keyed by the
+    sorted entries, so every tableau with that row or column shares one
+    list: the row and column groups of a T are built once, not once per
+    F_T^S.  The cache is bounded; a transition session over
     partitions of 6 and 7 uses under 200 entries.
     """
     out = []
     for image in itertools.permutations(entries):
-        inverse = list(range(n))  # sigma sends entry a to entry b; its inverse b to a
+        sigma = list(range(n))
         for a, b in zip(entries, image):
-            inverse[b - 1] = a - 1
-        # itemgetter of one index returns the entry, not a 1-tuple
-        relabel = itemgetter(*inverse) if n > 1 else tuple
-        out.append((relabel, signed and perms.sign(tuple(inverse)) < 0))
+            sigma[a - 1] = b - 1
+        out.append((perms.relabeller(sigma), signed and perms.sign(sigma) < 0))
     return out
 
 
@@ -251,11 +244,9 @@ def bilinear_form(f: Poly, g: Poly):
     if all(sum(e) != target for e in product.terms):
         return 0
     total = 0
+    staircase = tuple(range(n - 1, -1, -1))
     for sigma in perms.all_permutations(n):
-        exp = [0] * n
-        for i, si in enumerate(sigma):
-            exp[si] = n - 1 - i
-        c = product.terms.get(tuple(exp))
+        c = product.terms.get(perms.relabeller(sigma)(staircase))
         if c is not None:
             total = total + (c if perms.sign(sigma) > 0 else -c)
     return total

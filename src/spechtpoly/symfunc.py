@@ -8,7 +8,7 @@ from math import comb, factorial
 from typing import Sequence
 
 from ._linalg import dependent_rows
-from .perms import conjugacy_class_size, from_cycle_type
+from .perms import conjugacy_class_size, from_cycle_type, relabeller
 from .polyring import QQ, permute_variables
 from .quotient import GradedQuotient
 from .specht import _expand, higher_specht_family
@@ -180,19 +180,12 @@ def graded_frobenius(quotient: GradedQuotient) -> GradedSchurExpansion:
     ndeg = len(hilb)
     traces: list[list] = []
     for rho in ct.classes:
-        sigma = from_cycle_type(rho, n)
+        relabel = relabeller(from_cycle_type(rho, n))
         per_degree = []
         for d in range(ndeg):
-            free = quotient.free_monomials(d)
-            slot_of = {m: i for i, m in enumerate(free)}
             tr = 0
-            for slot, m in enumerate(free):
-                permuted = [0] * n
-                for i, e in enumerate(m):
-                    if e:
-                        permuted[sigma[i]] = e
-                red = quotient.reduce_monomial(tuple(permuted))
-                c = red.get(slot)
+            for slot, m in enumerate(quotient.free_monomials(d)):
+                c = quotient.reduce_monomial(relabel(m)).get(slot)
                 if c is not None:
                     tr = tr + c
             per_degree.append(tr)

@@ -359,6 +359,19 @@ def test_sweep_generated(capsys):
     check_schema(report)
 
 
+def test_sweep_leaves_the_quotient_cache_alone(capsys, monkeypatch):
+    # a long sweep must not keep every case's tables alive; an empty cache
+    # makes the check independent of what earlier tests cached
+    from spechtpoly import quotient
+
+    monkeypatch.setattr(quotient, "_QUOTIENT_CACHE", {})
+    code, report = run_json(capsys, ["sweep", "--family", "Rmu", "--max-n", "3"])
+    assert code == 0 and report["total"] == 6
+    assert quotient._QUOTIENT_CACHE == {}
+    main(["verify", "--family", "Rmu", "--mu", "2,1"])
+    assert list(quotient._QUOTIENT_CACHE) != []  # verify keeps the cache
+
+
 def test_sweep_config_file(tmp_path, capsys):
     cfg = tmp_path / "cases.json"
     cfg.write_text(

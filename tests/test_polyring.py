@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spechtpoly.perms import relabeller, sign
 from spechtpoly.polyring import (
     QQ,
     Poly,
@@ -189,6 +190,44 @@ def test_permute_variables_rejects_non_permutations():
     one = Poly.variable(1, 1)
     assert permute_variables((0,), 2 * one) == 2 * one
     assert permute_variables((), Poly.constant(0, 3)) == Poly.constant(0, 3)
+
+
+def test_relabeller_moves_the_exponent_at_i_to_sigma_i():
+    # x1^2 x2 under the transposition (1 2) is x1 x2^2
+    assert relabeller((1, 0))((2, 1)) == (1, 2)
+    # x1^3 x2 x3^2 under x1 -> x2 -> x3 -> x1 is x2^3 x3 x1^2
+    assert relabeller((1, 2, 0))((3, 1, 2)) == (2, 3, 1)
+    assert relabeller(())(()) == ()
+    assert relabeller((0,))((4,)) == (4,)
+
+
+def test_relabeller_agrees_with_permute_variables(rng):
+    from spechtpoly.perms import all_permutations
+
+    for n in range(5):
+        for sigma in all_permutations(n):
+            relabel = relabeller(sigma)
+            for _ in range(3):
+                e = tuple(rng.randrange(4) for _ in range(n))
+                moved = permute_variables(sigma, Poly.monomial(e, 3))
+                assert moved == Poly.monomial(relabel(e), 3)
+                assert type(relabel(e)) is tuple
+
+
+def test_symmetric_group_signs_are_perm_signs():
+    from spechtpoly.specht import _symmetric_group
+
+    n, entries = 5, (2, 4, 5)
+    seen = set()
+    for relabel, negate in _symmetric_group(entries, n, True):
+        # relabel of (0, ..., n-1) is sigma^-1; rebuild sigma from it
+        inverse = relabel(tuple(range(n)))
+        sigma = tuple(inverse.index(i) for i in range(n))
+        assert all(sigma[i] == i for i in range(n) if i + 1 not in entries)
+        assert negate == (sign(sigma) < 0)
+        seen.add(sigma)
+    assert len(seen) == 6
+    assert not any(negate for _, negate in _symmetric_group(entries, n, False))
 
 
 def test_extend_variables():

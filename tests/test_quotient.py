@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -731,6 +732,46 @@ def test_hilbert_against_sympy_groebner():
         ]
         expected = graded_quotient(build_ideal("Rmu", mu=mu)).hilbert
         assert groebner_hilbert(gens, xs) == expected, mu
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("Rn", {"n": 4}),
+        ("Rmu", {"mu": (2, 2, 1)}),
+        ("Rnks", {"n": 4, "k": 3, "s": 1}),
+        ("Rnkmu", {"n": 4, "k": 2, "mu": (3,)}),
+    ],
+)
+def test_project_against_sympy_groebner_reduce(family, params):
+    """q.project is the remainder on division by a grevlex Groebner basis.
+
+    The builder's free sets are grevlex normal sets with x_n largest, so
+    sympy gets the variables in the order x_n, ..., x_1.
+    """
+    sympy = pytest.importorskip("sympy")
+    spec = build_ideal(family, **params)
+    q = GradedQuotient(spec)
+    n = spec.nvars
+    xs = sympy.symbols(f"x1:{n + 1}")
+
+    def to_sympy(p: Poly):
+        return sum(
+            (sympy.Rational(c) * sympy.Mul(*(x**e for x, e in zip(xs, exp)))
+             for exp, c in p.terms.items()),
+            sympy.Integer(0),
+        )
+
+    gens = [to_sympy(g) for g in spec.generators]
+    basis = sympy.groebner(gens, *xs[::-1], order="grevlex", domain="QQ")
+    rng = random.Random(2017)
+    for d in range(q.max_degree + 2):
+        p = Poly.zero(n)
+        for _ in range(4):
+            exp = rng.choice(monomials_of_degree(n, rng.randint(0, d)))
+            p = p + Poly.monomial(exp, QQ(rng.randint(-5, 5), rng.randint(1, 3)))
+        want = basis.reduce(to_sympy(p))[1]
+        assert sympy.expand(to_sympy(q.project(p)) - want) == 0, (d, p)
 
 
 # -- border rows, the commutation oracle and the lazy table ---------------------
