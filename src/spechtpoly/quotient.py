@@ -16,7 +16,7 @@ when it is first read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 from typing import Callable, Iterable, Sequence
 
@@ -31,8 +31,8 @@ from .polyring import (
     extend_variables,
 )
 from .families import FAMILIES, lookup
-from .specht import BasisElement, _s_sort_key, build_basis_family
-from .tableaux import Partition, check_partition, last_letter_key, mu_child, standard_count
+from .specht import BasisElement, _s_sort_key, build_basis_family, family_sort_key
+from .tableaux import Partition, check_partition, last_letter_key, mu_child, standard_tableaux
 
 # -- ideal construction ------------------------------------------------------
 
@@ -404,51 +404,32 @@ def degree_slice(quotient: GradedQuotient, d: int) -> tuple[int, Callable[[Poly]
 # -- basis verification ------------------------------------------------------
 
 
-def _check_degree(
-    quotient: GradedQuotient, d: int, expected: int, elems: list[tuple[int, BasisElement]]
-) -> tuple[dict, list[dict]]:
-    """The per-degree entry and the failures of the (position, element) pairs of degree d.
-
-    The count must match the Hilbert function and the projections must be
-    linearly independent, as certified by ``dependent_rows``; each
-    dependent element is named by its family position and label.
-    """
-    dependent = dependent_rows([quotient.coords(be.poly, d) for _, be in elems])
-    failures = [
-        {"kind": "dependent", "d": d, "position": elems[pos][0], "label": elems[pos][1].label()}
-        for pos in dependent
-    ]
-    count = len(elems)
-    rank = count - len(dependent)
-    if count != expected:
-        failures.append({"kind": "count", "d": d, "expected": expected, "count": count})
-    entry = {
-        "d": d,
-        "expected": expected,
-        "count": count,
-        "rank": rank,
-        "ok": count == expected and rank == expected,
-    }
-    return entry, failures
-
-
 def _basis_report(
     quotient: GradedQuotient,
     degrees: Iterable[int],
-    check: Callable[[int, int], tuple[dict, list[dict]]],
+    check: Callable[[int], tuple[int, list[tuple[int, BasisElement]]]],
     family_size: int,
     family_name: str,
     params: dict | None,
 ) -> dict:
-    """The verification report: ``check(d, expected)`` for every degree of the
-    quotient or of the family, in increasing order."""
+    """The verification report over every degree of the quotient or of the
+    family, in increasing order: ``check(d)`` gives degree d's element count
+    and its dependent (family position, element) pairs."""
     hilb = quotient.hilbert
     per_degree = []
     failures: list[dict] = []
     for d in sorted(set(range(len(hilb))) | set(degrees)):
-        entry, found = check(d, hilb[d] if d < len(hilb) else 0)
-        per_degree.append(entry)
-        failures += found
+        expected = hilb[d] if d < len(hilb) else 0
+        count, dependent = check(d)
+        failures += [
+            {"kind": "dependent", "d": d, "position": pos, "label": be.label()}
+            for pos, be in dependent
+        ]
+        if count != expected:
+            failures.append({"kind": "count", "d": d, "expected": expected, "count": count})
+        rank = count - len(dependent)
+        ok = count == expected and rank == expected
+        per_degree.append({"d": d, "expected": expected, "count": count, "rank": rank, "ok": ok})
     return {
         "family": family_name,
         "params": params or {},
@@ -478,14 +459,13 @@ def verify_basis(
     by_degree: dict[int, list[tuple[int, BasisElement]]] = {}
     for idx, be in enumerate(family):
         by_degree.setdefault(be.degree, []).append((idx, be))
-    return _basis_report(
-        quotient,
-        by_degree,
-        lambda d, expected: _check_degree(quotient, d, expected, by_degree.get(d, [])),
-        len(family),
-        family_name,
-        params,
-    )
+
+    def check(d: int) -> tuple[int, list[tuple[int, BasisElement]]]:
+        elems = by_degree.get(d, [])
+        dependent = dependent_rows([quotient.coords(be.poly, d) for _, be in elems])
+        return len(elems), [elems[pos] for pos in dependent]
+
+    return _basis_report(quotient, by_degree, check, len(family), family_name, params)
 
 
 def verify_family(quotient: GradedQuotient, family_name: str, params: dict) -> dict:
@@ -495,11 +475,11 @@ def verify_family(quotient: GradedQuotient, family_name: str, params: dict) -> d
     **params), family_name, params)``, but a degree builds and ranks only
     the representatives, one element F_T0^S * e^a per (S, exponents a)
     with T0 the first standard tableau of S's shape lambda.  Its count is
-    the sum of f^lambda over the representatives.  A degree passes when
-    that count is the Hilbert value and no representative is dependent;
-    its rank is then the count.  Otherwise the degree's whole family is
-    built and checked element by element, with positions shifted by the
-    counts of the lower degrees, so a failure names the same element.
+    the sum of f^lambda over the representatives.  The element (S, T, a)
+    is dependent exactly when its representative is dependent on the
+    representatives before it, so a degree with a dependent representative
+    lists its (S, T, a) in family order, from the count of the lower
+    degrees on, to name each failure; none of their polynomials is built.
 
     Soundness.  Sigma in S_n acts on polynomials by permuting variables.
     F_{sigma T}^S = sigma F_T^S (Ariki, Terasoma & Yamada 1997), so with
@@ -516,14 +496,25 @@ def verify_family(quotient: GradedQuotient, family_name: str, params: dict) -> d
     representatives of different shapes lie in different isotypic parts
     of R_d.  So the degree's family is independent exactly when its
     representatives are, and it is a basis when, besides, dim M (the
-    count) is the Hilbert value.  The argument needs:
+    count) is the Hilbert value.
+
+    Naming.  An element of shape lambda lies in the span of the elements
+    before it exactly when it lies in the span of those of shape lambda,
+    as projecting onto the lambda-isotypic part shows.  There the element
+    (S, T, a) is the image of v_T (x) r, with v_T = sigma_T eps_T0 and r
+    = (S, a).  The v_T are independent and the kernel is V^lambda (x) K,
+    so v_T (x) r is in the span of the earlier v_T' (x) r' modulo the
+    kernel exactly when r is in the span of the r' with (r', T) before
+    (r, T), modulo K.  ``family_sort_key`` orders by S, then T, then a,
+    so those r' are the representatives before r, for every T.  The
+    argument needs:
 
     - the ideal is S_n-stable, as it is for every ``FAMILIES`` row, so
       projecting to the quotient commutes with S_n;
     - the factor e^a is a product of elementary symmetric polynomials;
     - each recipe pairs S with every standard T of its shape, so the
-      degree's family is the image of a basis of M with f^lambda =
-      ``standard_count(lambda)`` elements per (S, a);
+      degree's family is the image of a basis of M with f^lambda
+      elements per (S, a), one per standard T;
     - Young's natural basis, the sigma_T eps_T0 for standard T, is a
       basis of C[S_n] eps_T0.
 
@@ -543,17 +534,22 @@ def verify_family(quotient: GradedQuotient, family_name: str, params: dict) -> d
     total = 0
     for d in sorted(reps):
         offsets[d] = total
-        counts[d] = sum(standard_count(be.s.shape) for be in reps[d])
+        counts[d] = sum(len(standard_tableaux(be.s.shape)) for be in reps[d])
         total += counts[d]
 
-    def check(d: int, expected: int) -> tuple[dict, list[dict]]:
-        count = counts.get(d, 0)
-        if count == expected and not dependent_rows(
-            [quotient.coords(be.poly, d) for be in reps.get(d, [])]
-        ):
-            return {"d": d, "expected": expected, "count": count, "rank": count, "ok": True}, []
-        full = build_basis_family(basis, degree=d, **params)
-        return _check_degree(quotient, d, expected, list(enumerate(full, offsets.get(d, 0))))
+    def check(d: int) -> tuple[int, list[tuple[int, BasisElement]]]:
+        dependent = set(dependent_rows([quotient.coords(be.poly, d) for be in reps.get(d, [])]))
+        if not dependent:
+            return counts.get(d, 0), []
+        # each (S, T, a) keeps its representative's polynomial: only its label is read
+        elements = sorted(
+            ((replace(be, t=t), i) for i, be in enumerate(reps[d])
+             for t in standard_tableaux(be.s.shape)),
+            key=lambda pair: family_sort_key(pair[0]),
+        )
+        return counts[d], [
+            (pos, be) for pos, (be, i) in enumerate(elements, offsets[d]) if i in dependent
+        ]
 
     return _basis_report(quotient, counts, check, total, family_name, params)
 

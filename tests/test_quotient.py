@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 import random
@@ -30,6 +31,8 @@ from spechtpoly.quotient import (
 )
 from spechtpoly.specht import build_basis_family, higher_specht
 from spechtpoly.tableaux import format_tableau, parse_tableau, partitions, standard_tableaux
+
+from conftest import requires_long
 
 
 def multinomial(mu):
@@ -302,12 +305,27 @@ def test_verify_basis_pinpoints_count():
 # -- the isotypic certificate against the per-element check ------------------------
 
 
-def _bench_sweep_cases():
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+def _bench_module(name: str):
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [(case["family"], case["params"]) for case in module.sweep_cases()]
+    return module
+
+
+def _bench_sweep_cases():
+    return [(case["family"], case["params"]) for case in _bench_module("workloads").sweep_cases()]
+
+
+def test_every_tracer_target_resolves():
+    # the bench tracer wraps these by name; a renamed one would drop its span
+    for _, module_name, attr in _bench_module("spans").TARGETS:
+        owner = importlib.import_module(module_name)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert meth in vars(getattr(owner, cls_name)), attr
+        else:
+            assert callable(getattr(owner, attr, None)), attr
 
 
 def _acceptance_corpus():
@@ -355,13 +373,43 @@ def test_verify_family_matches_verify_basis(family, params):
         ("Rnks", {"n": 4, "k": 2, "s": 2}, "Rmu", {"mu": [2, 1, 1]}),
     ],
 )
-def test_verify_family_falls_back_on_a_failing_degree(family, params, ring, ring_params):
+def test_verify_family_names_each_failure(family, params, ring, ring_params):
     # an S_n-stable quotient of another ring, on which the family is no basis
     quotient = graded_quotient(build_ideal(ring, **ring_params))
     report = verify_family(quotient, family, params)
     assert report["verdict"] is False
     assert report == _full_report(quotient, family, params)
     assert any(f["kind"] == "dependent" for f in report["failures"])
+
+
+def _mixed_blocks(report: dict, family) -> set:
+    """The (degree, S) that have both a dependent and an independent representative."""
+    def key(label):
+        return label["degree"], label["S"], tuple(label.get("exponents", ()))
+
+    dependent = {key(f["label"]) for f in report["failures"] if f["kind"] == "dependent"}
+    independent = {key(be.label()) for be in family} - dependent
+    return {k[:2] for k in dependent} & {k[:2] for k in independent}
+
+
+def test_verify_family_matches_verify_basis_on_every_ring_of_the_same_n():
+    # every family on every FAMILIES quotient with n <= 4, most of them no basis there
+    mixed = []
+    for n in range(1, 5):
+        cases = [(name, params) for name, row in FAMILIES.items() for params in row.sweep(n)]
+        for family, params in cases:
+            elements = build_basis_family(FAMILIES[family].basis, **params)
+            for ring, ring_params in cases:
+                quotient = graded_quotient(build_ideal(ring, **ring_params))
+                report = verify_family(quotient, family, params)
+                assert report == verify_basis(quotient, elements, family, params), (
+                    family, params, ring, ring_params,
+                )
+                if _mixed_blocks(report, elements):
+                    mixed.append((family, params, ring, ring_params))
+    # only an S with a dependent and an independent representative in one
+    # failing degree checks that positions run over T, then exponents
+    assert ("Rnks", {"n": 3, "k": 3, "s": 0}, "Rnks", {"n": 3, "k": 2, "s": 0}) in mixed
 
 
 def test_verify_family_rejects_a_ring_outside_its_proof():
@@ -388,6 +436,9 @@ def test_b2222_degree_5_is_dependent_already_in_the_polynomial_ring():
     """
     mu = [2, 2, 2, 2]
     report = verify_family(graded_quotient(build_ideal("Rmu", mu=mu)), "Rmu", {"mu": mu})
+    assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == (
+        "1fc73293f9072c9317c5db660930966f27b542f596cc1a9d91ea5b026c9a723c"
+    )
     assert [e for e in report["per_degree"] if not e["ok"]] == [
         {"d": 5, "expected": 295, "count": 295, "rank": 231, "ok": False}
     ]
@@ -405,6 +456,28 @@ def test_b2222_degree_5_is_dependent_already_in_the_polynomial_ring():
     f2 = higher_specht(parse_tableau(s2), t0)
     assert len(f1.terms) == len(f2.terms) == 36
     assert f2 == -2 * f1
+
+
+@pytest.mark.slow
+@requires_long
+def test_b3222_degree_5_has_rank_460_of_565():
+    """The (3,2,2,2) failure of n = 9: 105 = f^(6,2,1) dependent elements,
+    every standard T of one S of shape (6,2,1)."""
+    mu = [3, 2, 2, 2]  # built outside the quotient cache, so the tables go with the test
+    report = verify_family(GradedQuotient(build_ideal("Rmu", mu=mu)), "Rmu", {"mu": mu})
+    assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == (
+        "167ad2f58500f7e654d54e80f197a3956537baaf5178f27958e4dd45257fdcb5"
+    )
+    assert [e for e in report["per_degree"] if not e["ok"]] == [
+        {"d": 5, "expected": 565, "count": 565, "rank": 460, "ok": False}
+    ]
+    failures = report["failures"]
+    assert len(failures) == 105 == len(standard_tableaux((6, 2, 1)))
+    assert {f["kind"] for f in failures} == {"dependent"}
+    assert len({(f["label"]["S"], tuple(f["label"]["shape"])) for f in failures}) == 1
+    assert {f["label"]["T"] for f in failures} == set(
+        map(format_tableau, standard_tableaux((6, 2, 1)))
+    )
 
 
 def test_gp_recursion_family_shape():
