@@ -334,7 +334,10 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
+    except MemoryError:
+        print("error: out of memory; the input is too large to compute", file=sys.stderr)
+        return 2
+    except (ArithmeticError, RuntimeError) as exc:  # RuntimeError: the quotient's degree cap
         print(f"mathematical failure: {exc}", file=sys.stderr)
         return 1
 

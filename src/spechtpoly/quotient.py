@@ -26,12 +26,20 @@ from .polyring import (
     Poly,
     QQ,
     clear_denominators,
+    elementary,
     exact,
     exact_quotient,
     extend_variables,
 )
 from .families import FAMILIES, lookup
-from .specht import BasisElement, _s_sort_key, build_basis_family, family_sort_key
+from .specht import (
+    BasisElement,
+    _s_sort_key,
+    build_basis_family,
+    family_plan,
+    family_sort_key,
+    higher_specht,
+)
 from .tableaux import Partition, check_partition, last_letter_key, mu_child, standard_tableaux
 
 # -- ideal construction ------------------------------------------------------
@@ -468,18 +476,76 @@ def verify_basis(
     return _basis_report(quotient, by_degree, check, len(family), family_name, params)
 
 
+def _times_elementary(quotient: GradedQuotient, rows: dict, vec: list, d: int, j: int) -> list:
+    """Coordinates of NF(e_j * p) in degree d + j, for p of degree d with coordinates vec.
+
+    NF(e_j * x^f) = sum over the j-subsets J of the variables of
+    NF(x^f * x_J), read off the tables; ``rows[d, j]`` memoises it by the
+    slot of f, for the slots that some vector uses only.  Empty past the
+    top degree, as ``coords`` is.
+    """
+    if d + j > quotient.max_degree:
+        return []
+    free = quotient._by_degree[d].free
+    target = quotient._by_degree[d + j]
+    known = rows.setdefault((d, j), {})
+    subsets = None  # the exponents of the x_J with |J| = j, once a row is missing
+    out = [0] * len(target.free)
+    for slot, c in enumerate(vec):
+        if not c:
+            continue
+        row = known.get(slot)
+        if row is None:
+            if subsets is None:
+                subsets = list(elementary(j, quotient.nvars).terms)
+            f = free[slot]
+            acc: dict[int, object] = {}
+            for subset in subsets:
+                m = tuple([a + b for a, b in zip(f, subset)])
+                for s2, c2 in target.normal_form(m).items():
+                    acc[s2] = acc.get(s2, 0) + c2
+            row = known[slot] = [(s2, c2) for s2, c2 in acc.items() if c2]
+        for s2, c2 in row:
+            out[s2] += c * c2
+    return out
+
+
+def _efactor_coords(
+    quotient: GradedQuotient, rows: dict, memo: dict, exps: tuple[int, ...], d: int
+) -> list:
+    """Coordinates of NF(F * e^a) in degree d, a = exps.
+
+    ``memo`` holds those of F itself under the zero exponents and gains
+    every a it is asked for: e^a = e_j * e^(a - delta_j), j the largest
+    index with a_j > 0.
+    """
+    vec = memo.get(exps)
+    if vec is None:
+        j = max(i for i, e in enumerate(exps, start=1) if e)
+        lower = exps[: j - 1] + (exps[j - 1] - 1,) + exps[j:]
+        vec = _efactor_coords(quotient, rows, memo, lower, d - j)
+        vec = memo[exps] = _times_elementary(quotient, rows, vec, d - j, j)
+    return vec
+
+
 def verify_family(quotient: GradedQuotient, family_name: str, params: dict) -> dict:
     """``verify_basis`` of the ring's basis family (``FAMILIES``), by the isotypic certificate.
 
     The report equals ``verify_basis(quotient, build_basis_family(basis,
-    **params), family_name, params)``, but a degree builds and ranks only
-    the representatives, one element F_T0^S * e^a per (S, exponents a)
-    with T0 the first standard tableau of S's shape lambda.  Its count is
-    the sum of f^lambda over the representatives.  The element (S, T, a)
-    is dependent exactly when its representative is dependent on the
-    representatives before it, so a degree with a dependent representative
-    lists its (S, T, a) in family order, from the count of the lower
-    degrees on, to name each failure; none of their polynomials is built.
+    **params), family_name, params)``, but a degree ranks only the
+    coordinates of the representatives, one element F_T0^S * e^a per (S,
+    exponents a) with T0 the first standard tableau of S's shape lambda.
+    Its count is the sum of f^lambda over the representatives.  The
+    element (S, T, a) is dependent exactly when its representative is
+    dependent on the representatives before it, so a degree with a
+    dependent representative lists its (S, T, a) in family order, from
+    the count of the lower degrees on, to name each failure; none of
+    their polynomials is built.
+
+    F_T0^S is built and reduced once per S, and e^a is applied in the
+    quotient, one factor e_j at a time (``_efactor_coords``): I is an
+    ideal, so NF(e_j * p) = NF(e_j * NF(p)), and no product F_T0^S * e^a
+    is formed.
 
     Soundness.  Sigma in S_n acts on polynomials by permuting variables.
     F_{sigma T}^S = sigma F_T^S (Ariki, Terasoma & Yamada 1997), so with
@@ -524,26 +590,34 @@ def verify_family(quotient: GradedQuotient, family_name: str, params: dict) -> d
     basis = lookup(FAMILIES, family_name).basis
     if quotient.spec.family not in FAMILIES:
         raise ValueError("the certificate needs the quotient of a FAMILIES ring")
-    reps: dict[int, list[BasisElement]] = {}
-    for be in build_basis_family(basis, first_t=True, **params):
-        if be.poly.nvars != quotient.nvars:
-            raise ValueError(f"{family_name} has {be.poly.nvars} variables, the ring {quotient.nvars}")
-        reps.setdefault(be.degree, []).append(be)
+    n, plan = family_plan(basis, **params)
+    if n != quotient.nvars:
+        raise ValueError(f"{family_name} has {n} variables, the ring {quotient.nvars}")
+    rows: dict = {}  # NF(e_j * x^f) by (degree of f, j), then the slot of f
+    # per degree, (representative, coordinates); a representative's poly is None, as only
+    # its label is read
+    reps: dict[int, list[tuple[BasisElement, list]]] = {}
+    for s, fillings, cc, degrees in plan:
+        base = quotient.coords(higher_specht(s, fillings[0]), cc)
+        memo = {(0,) * len(degrees[0][0]): base}
+        for exps, d in degrees:
+            coords = _efactor_coords(quotient, rows, memo, exps, d)
+            reps.setdefault(d, []).append((BasisElement(None, d, s, fillings[0], exps), coords))
     counts: dict[int, int] = {}
     offsets: dict[int, int] = {}  # the family position of each degree's first element
     total = 0
     for d in sorted(reps):
+        reps[d].sort(key=lambda pair: family_sort_key(pair[0]))
         offsets[d] = total
-        counts[d] = sum(len(standard_tableaux(be.s.shape)) for be in reps[d])
+        counts[d] = sum(len(standard_tableaux(be.s.shape)) for be, _ in reps[d])
         total += counts[d]
 
     def check(d: int) -> tuple[int, list[tuple[int, BasisElement]]]:
-        dependent = set(dependent_rows([quotient.coords(be.poly, d) for be in reps.get(d, [])]))
+        dependent = set(dependent_rows([coords for _, coords in reps.get(d, [])]))
         if not dependent:
             return counts.get(d, 0), []
-        # each (S, T, a) keeps its representative's polynomial: only its label is read
         elements = sorted(
-            ((replace(be, t=t), i) for i, be in enumerate(reps[d])
+            ((replace(be, t=t), i) for i, (be, _) in enumerate(reps[d])
              for t in standard_tableaux(be.s.shape)),
             key=lambda pair: family_sort_key(pair[0]),
         )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import perms
 from ._linalg import solve_in_span
@@ -360,54 +360,51 @@ def _efactor(exponents: Sequence[int], n: int) -> Poly:
     return out
 
 
-def _family_elements(
-    pairs, n: int, exponent_tuples: Callable[[Tableau], Iterable[tuple[int, ...]]],
-    degree: int | None,
-) -> list[BasisElement]:
-    """F_T^S times e_1^a1 e_2^a2 ... for every pair and every exponent tuple of S.
+def family_plan(kind: str, **params) -> tuple[int, list[tuple]]:
+    """The variable count of a basis family (see ``families``) and its plan.
 
-    The degree (cocharge of S plus the weight of the exponents) is known
-    before F_T^S is built, so with ``degree`` given only the elements of
-    that degree are built.  Each S gets one symmetrizer application and
-    each (S, exponents) one product F_T0^S e^a, relabelled onto every T
-    (``_relabel_onto``; e^a is symmetric).  Each e-product is built once
-    per call.
+    The plan lists (S, fillings, cocharge of S, [(exponents, degree)])
+    for every S of the recipe that has an element; the element (S, T, a)
+    is F_T^S e_1^a1 e_2^a2 ... for T in fillings, of degree the cocharge
+    plus the weight of the exponents, so every degree is known before a
+    polynomial is built.
     """
-    out: list[BasisElement] = []
-    efactors: dict[tuple[int, ...], Poly] = {}
+    row = lookup(BASES, kind)
+    pairs, n, exponent_tuples = row.recipe(**row.check(params))
+    plan = []
     for s, fillings in pairs:
         cc = cocharge_labels(reading_word(s)).cocharge
-        wanted = []
-        for exps in exponent_tuples(s):
-            d = cc + sum(j * e for j, e in enumerate(exps, start=1))
-            if degree is None or d == degree:
-                wanted.append((exps, d))
-                if any(exps) and exps not in efactors:
-                    efactors[exps] = _efactor(exps, n)
+        degrees = [
+            (exps, cc + sum(j * e for j, e in enumerate(exps, start=1)))
+            for exps in exponent_tuples(s)
+        ]
+        if degrees:
+            plan.append((s, fillings, cc, degrees))
+    return n, plan
+
+
+def build_basis_family(kind: str, *, degree: int | None = None, **params) -> list[BasisElement]:
+    """The spanning family of a basis of the family table (see ``families``).
+
+    ``degree`` restricts the family to its elements of that degree; None
+    builds every degree.  Each S gets one symmetrizer application and
+    each (S, exponents) one product F_T0^S e^a, relabelled onto every T
+    (``_relabel_onto``; e^a is symmetric).  Each e-product is built once
+    per call.  Elements come back sorted by (degree, S, T, exponents).
+    """
+    n, plan = family_plan(kind, **params)
+    out: list[BasisElement] = []
+    efactors: dict[tuple[int, ...], Poly] = {}
+    for s, fillings, _, degrees in plan:
+        wanted = [(exps, d) for exps, d in degrees if degree is None or d == degree]
         if not wanted:
             continue
         base = higher_specht(s, fillings[0])
         for exps, d in wanted:
+            if any(exps) and exps not in efactors:
+                efactors[exps] = _efactor(exps, n)
             product = base * efactors[exps] if any(exps) else base
             for t, poly in zip(fillings, _relabel_onto(fillings, product)):
                 out.append(BasisElement(poly, d, s, t, exps))
-    return out
-
-
-def build_basis_family(
-    kind: str, *, degree: int | None = None, first_t: bool = False, **params
-) -> list[BasisElement]:
-    """The spanning family of a basis of the family table (see ``families``).
-
-    ``degree`` restricts the family to its elements of that degree; None
-    builds every degree.  ``first_t`` restricts it to the first standard
-    T of each S, one element per (S, exponents).  Elements come back
-    sorted by (degree, S, T, exponents).
-    """
-    row = lookup(BASES, kind)
-    pairs, n, exponent_tuples = row.recipe(**row.check(params))
-    if first_t:
-        pairs = ((s, fillings[:1]) for s, fillings in pairs)
-    out = _family_elements(pairs, n, exponent_tuples, degree)
     out.sort(key=family_sort_key)
     return out

@@ -103,6 +103,34 @@ def test_verify_rnkmu_general_mu_rejected(capsys):
     assert "single-part mu" in captured.err
 
 
+def _raising(exc):
+    def graded_quotient(spec):
+        raise exc
+
+    return graded_quotient
+
+
+def test_out_of_memory_is_a_clear_usage_error(capsys, monkeypatch):
+    # stands in for an input too large to build, such as verify --family Rn --n 40,
+    # without allocating for real
+    monkeypatch.setattr(cli, "graded_quotient", _raising(MemoryError()))
+    code = main(["verify", "--family", "Rn", "--n", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: out of memory")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_degree_cap_is_a_mathematical_failure(capsys, monkeypatch):
+    cap = RuntimeError("quotient did not become zero by the degree cap 4")
+    monkeypatch.setattr(cli, "graded_quotient", _raising(cap))
+    code = main(["hilbert", "--family", "Rn", "--n", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"mathematical failure: {cap}\n"
+    assert captured.out == ""
+
+
 def test_malformed_partition_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--family", "Rmu", "--mu", "1,2"])

@@ -20,6 +20,7 @@ from spechtpoly.quotient import (
     GradedQuotient,
     IdealSpec,
     _row_sort_key,
+    _times_elementary,
     almost_lower_triangular,
     build_ideal,
     degree_slice,
@@ -424,6 +425,85 @@ def test_verify_family_rejects_a_ring_outside_its_proof():
         verify_family(unstable, "Rn", {"n": 3})
     with pytest.raises(ValueError, match="variables"):
         verify_family(graded_quotient(build_ideal("Rn", n=4)), "Rn", {"n": 3})
+
+
+def test_elementary_rows_match_coords_of_the_products():
+    # NF(e_j * x^f) formed in the quotient against coords of the product built in Q[x],
+    # also past the top degree, where both are []
+    for n in range(1, 5):
+        for ring, row in FAMILIES.items():
+            for params in row.sweep(n):
+                q = graded_quotient(build_ideal(ring, **params))
+                rows: dict = {}
+                for d in range(q.max_degree + 1):
+                    free = q.free_monomials(d)
+                    for j in range(1, n + 1):
+                        for slot, f in enumerate(free):
+                            unit = [0] * len(free)
+                            unit[slot] = 1
+                            want = q.coords(elementary(j, n) * Poly.monomial(f), d + j)
+                            assert _times_elementary(q, rows, unit, d, j) == want, (
+                                ring, params, d, j, f,
+                            )
+
+
+@pytest.mark.parametrize(
+    "family, params", [("Rmu", {"mu": (2, 2, 1)}), ("Rnks", {"n": 4, "k": 3, "s": 1})]
+)
+def test_elementary_product_against_sympy_groebner_reduce(family, params):
+    """NF(e_j * p) from the coordinates of p is the remainder of e_j * p on
+    division by a grevlex Groebner basis (variables to sympy as x_n, ..., x_1)."""
+    sympy = pytest.importorskip("sympy")
+    spec = build_ideal(family, **params)
+    q = GradedQuotient(spec)
+    n = spec.nvars
+    xs = sympy.symbols(f"x1:{n + 1}")
+
+    def to_sympy(p: Poly):
+        return sum(
+            (sympy.Rational(c) * sympy.Mul(*(x**e for x, e in zip(xs, exp)))
+             for exp, c in p.terms.items()),
+            sympy.Integer(0),
+        )
+
+    basis = sympy.groebner(
+        [to_sympy(g) for g in spec.generators], *xs[::-1], order="grevlex", domain="QQ"
+    )
+    rng = random.Random(2018)
+    rows: dict = {}
+    for d in range(q.max_degree + 1):
+        p = Poly.zero(n)
+        for _ in range(4):
+            exp = rng.choice(monomials_of_degree(n, d))
+            p = p + Poly.monomial(exp, QQ(rng.randint(-5, 5), rng.randint(1, 3)))
+        for j in range(1, n + 1):
+            got = _times_elementary(q, rows, q.coords(p, d), d, j)
+            nf = sum(
+                (Poly.monomial(f, c) for f, c in zip(q.free_monomials(d + j), got)), Poly.zero(n)
+            )
+            want = basis.reduce(to_sympy(elementary(j, n) * p))[1]
+            assert sympy.expand(to_sympy(nf) - want) == 0, (d, j, p)
+
+
+@pytest.mark.slow
+@requires_long
+def test_e_factor_families_match_verify_basis_on_every_ring_of_n5():
+    # the families with e-factors on every n = 5 ring, where most degrees fail; a
+    # family of more than 600 elements is skipped to bound the run time
+    rings = [(name, params) for name, row in FAMILIES.items() for params in row.sweep(5)]
+    checked = 0
+    for family in ("Rnk", "Rnks", "Rnkmu"):
+        for params in FAMILIES[family].sweep(5):
+            elements = build_basis_family(FAMILIES[family].basis, **params)
+            if len(elements) > 600:
+                continue
+            for ring, ring_params in rings:
+                quotient = graded_quotient(build_ideal(ring, **ring_params))
+                assert verify_family(quotient, family, params) == verify_basis(
+                    quotient, elements, family, params
+                ), (family, params, ring, ring_params)
+                checked += 1
+    assert checked >= 20 * len(rings)
 
 
 def test_b2222_degree_5_is_dependent_already_in_the_polynomial_ring():

@@ -10,10 +10,13 @@ from spechtpoly.perms import all_permutations
 from spechtpoly.polyring import QQ, Poly, elementary, extend_variables, permute_variables
 from spechtpoly.quotient import gp_recursion_family
 from spechtpoly.specht import (
+    BasisElement,
     apply_symmetrizer,
     bilinear_form,
     build_basis_family,
     dual_specht,
+    family_plan,
+    family_sort_key,
     garnir_apply,
     higher_specht,
     higher_specht_family,
@@ -327,12 +330,26 @@ def test_recipes_pair_each_s_with_every_standard_t(ring):
                 assert list(fillings) == standard_tableaux(s.shape), (ring, params, s)
 
 
-def test_first_t_family_is_one_element_per_s_and_exponents():
-    full = build_basis_family("Bnks", n=4, k=3, s=1)
-    reps = build_basis_family("Bnks", first_t=True, n=4, k=3, s=1)
-    first = {be.s: standard_tableaux(be.s.shape)[0] for be in full}
-    assert reps == [be for be in full if be.t == first[be.s]]
-    assert sum(standard_count(be.s.shape) for be in reps) == len(full)
+def test_family_plan_lists_the_full_family_at_the_first_t():
+    # the representatives quotient.verify_family ranks, read off the shared plan
+    for row in FAMILIES.values():
+        for n in range(1, 6):
+            for params in row.sweep(n):
+                full = build_basis_family(row.basis, **params)
+                nvars, plan = family_plan(row.basis, **params)
+                reps = []
+                for s, fillings, cc, degrees in plan:
+                    assert fillings[0] == standard_tableaux(s.shape)[0]
+                    assert higher_specht(s, fillings[0]).degree() == cc
+                    reps += [BasisElement(None, d, s, fillings[0], exps) for exps, d in degrees]
+                reps.sort(key=family_sort_key)
+                first = {be.s: standard_tableaux(be.s.shape)[0] for be in full}
+                want = [be for be in full if be.t == first[be.s]]
+                assert [(be.s, be.t, be.exponents, be.degree) for be in reps] == [
+                    (be.s, be.t, be.exponents, be.degree) for be in want
+                ], (row.basis, params)
+                assert sum(standard_count(be.s.shape) for be in reps) == len(full)
+                assert all(be.poly.nvars == nvars for be in full)
 
 
 def test_garnir_randomized_n6(rng):
