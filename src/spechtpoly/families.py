@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial, prod
 from typing import Callable, Iterable, Mapping
 
 from .polyring import Poly, elementary
@@ -40,7 +40,8 @@ class Family:
     returns (nvars, generators, degree cap); ``recipe`` returns the (S,
     fillings) pairs, the variable count and the rule giving the
     e-exponent tuples of an S; ``sweep`` lists the JSON-safe params of
-    every case for one n; ``formula`` gives Griffin's (n, k, mu).
+    every case for one n; ``formula`` gives Griffin's (n, k, mu);
+    ``dimension`` gives the dimension of the ring.
     """
 
     ring: str
@@ -52,6 +53,7 @@ class Family:
     recipe: Callable[..., tuple[Iterable, int, Callable]]
     sweep: Callable[[int], Iterable[dict]]
     formula: Callable[..., tuple[int, int, Partition]] | None
+    dimension: Callable[..., int]
 
     def check(self, params: Mapping) -> dict:
         """The parameters as keyword arguments, mu as a tuple.  TypeError for a
@@ -106,6 +108,20 @@ def _ideal_rnkmu(n, k, mu):
     _, gens, cap = _ideal_rnks(n, k, 0)
     shift = n - sum(mu)
     return n, gens + _subset_elementary_gens(n, lambda t: column_excess(mu, t) + shift), cap
+
+
+# -- dimensions --------------------------------------------------------------
+
+
+def _words(n, k, s):
+    """The words in [k]^n that use each of the letters 1..s, by inclusion-exclusion: the
+    dimension of R_{n,k,s} (Haglund, Rhoades & Shimozono), k!S(n,k) at s = k."""
+    return sum((-1) ** i * comb(s, i) * (k - i) ** n for i in range(s + 1))
+
+
+def _griffin_dimension(n, k, mu):
+    from .symfunc import grfrob_formula_rnkmu  # symfunc imports this module
+    return sum(grfrob_formula_rnkmu(n, k, mu).hilbert())
 
 
 # -- basis recipes -----------------------------------------------------------
@@ -176,6 +192,7 @@ FAMILIES = {
             lambda n: (_pairs_standard(n), n, lambda S: [()]),
             lambda n: [{"n": n}],
             lambda n: (n, n, (1,) * n),
+            lambda n: factorial(n),
         ),
         Family(
             "Rnk", "Bnk", ("n", "k"),
@@ -184,6 +201,7 @@ FAMILIES = {
             lambda n, k: _recipe_bnks(n, k, k),
             lambda n: [{"n": n, "k": k} for k in range(1, n + 1)],
             lambda n, k: (n, k, (1,) * k),
+            lambda n, k: _words(n, k, k),
         ),
         Family(
             "Rnks", "Bnks", ("n", "k", "s"),
@@ -192,6 +210,7 @@ FAMILIES = {
             _recipe_bnks,
             lambda n: [{"n": n, "k": k, "s": s} for k in range(1, n + 1) for s in range(k + 1)],
             None,
+            _words,
         ),
         Family(
             "Rmu", "Bmu", ("mu",),
@@ -201,6 +220,7 @@ FAMILIES = {
             lambda mu: (_pairs_content(mu), sum(mu), lambda S: [()]),
             lambda n: [{"mu": list(mu)} for mu in partitions(n)],
             lambda mu: (sum(mu), len(mu), mu),
+            lambda mu: factorial(sum(mu)) // prod(map(factorial, mu)),
         ),
         Family(
             "Rnkmu", "Bnkmu", ("n", "k", "mu"),
@@ -210,6 +230,7 @@ FAMILIES = {
             _recipe_bnkmu,
             lambda n: [{"n": n, "k": k, "mu": [n - 1]} for k in range(1, n + 1) if n >= 2],
             lambda n, k, mu: (n, k, mu),
+            _griffin_dimension,
         ),
     )
 }

@@ -17,6 +17,7 @@ when it is first read.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import groupby
 from math import comb
 from typing import Callable, Iterable, Sequence
 
@@ -32,15 +33,8 @@ from .polyring import (
     extend_variables,
 )
 from .families import FAMILIES, lookup
-from .specht import (
-    BasisElement,
-    _s_sort_key,
-    build_basis_family,
-    family_plan,
-    family_sort_key,
-    higher_specht,
-)
-from .tableaux import Partition, check_partition, last_letter_key, mu_child, standard_tableaux
+from .specht import BasisElement, build_basis_family, family_plan, higher_specht
+from .tableaux import Partition, check_partition, mu_child, standard_tableaux
 
 # -- ideal construction ------------------------------------------------------
 
@@ -62,12 +56,22 @@ class IdealSpec:
         )
 
 
+MAX_NVARS = 10  # the R_mu and R_{n,k,mu} generators run over all 2^n variable subsets
+MAX_DIMENSION = 362_880  # 9!, the dimension of R_9
+
+
 def build_ideal(family: str, **params) -> IdealSpec:
-    """The generators of a ring of the family table (see ``families``)."""
+    """The generators of a ring of the family table (see ``families``); ValueError,
+    before any is built, above MAX_NVARS variables or dimension MAX_DIMENSION."""
     row = lookup(FAMILIES, family)
-    nvars, gens, cap = row.ideal(**row.check(params))
-    if nvars < 1:
+    checked = row.check(params)
+    n = checked["n"] if "n" in checked else sum(checked["mu"])
+    if n < 1:
         raise ValueError("the ring needs n >= 1 variables")
+    if n > MAX_NVARS or row.dimension(**checked) > MAX_DIMENSION:
+        cap = f"n <= {MAX_NVARS} and dimension <= {MAX_DIMENSION}"
+        raise ValueError(f"{family} {params} is too large; the size cap is {cap}")
+    nvars, gens, cap = row.ideal(**checked)
     return IdealSpec(nvars, tuple(gens), cap, family)
 
 
@@ -510,24 +514,6 @@ def _times_elementary(quotient: GradedQuotient, rows: dict, vec: list, d: int, j
     return out
 
 
-def _efactor_coords(
-    quotient: GradedQuotient, rows: dict, memo: dict, exps: tuple[int, ...], d: int
-) -> list:
-    """Coordinates of NF(F * e^a) in degree d, a = exps.
-
-    ``memo`` holds those of F itself under the zero exponents and gains
-    every a it is asked for: e^a = e_j * e^(a - delta_j), j the largest
-    index with a_j > 0.
-    """
-    vec = memo.get(exps)
-    if vec is None:
-        j = max(i for i, e in enumerate(exps, start=1) if e)
-        lower = exps[: j - 1] + (exps[j - 1] - 1,) + exps[j:]
-        vec = _efactor_coords(quotient, rows, memo, lower, d - j)
-        vec = memo[exps] = _times_elementary(quotient, rows, vec, d - j, j)
-    return vec
-
-
 def verify_family(quotient: GradedQuotient, family_name: str, params: dict) -> dict:
     """``verify_basis`` of the ring's basis family (``FAMILIES``), by the isotypic certificate.
 
@@ -543,9 +529,10 @@ def verify_family(quotient: GradedQuotient, family_name: str, params: dict) -> d
     their polynomials is built.
 
     F_T0^S is built and reduced once per S, and e^a is applied in the
-    quotient, one factor e_j at a time (``_efactor_coords``): I is an
-    ideal, so NF(e_j * p) = NF(e_j * NF(p)), and no product F_T0^S * e^a
-    is formed.
+    quotient: the plan lists a - delta_j before a, so one pass over the
+    exponents multiplies the coordinates of a - delta_j by e_j, j the
+    largest index with a_j > 0.  I is an ideal, so NF(e_j * p) = NF(e_j *
+    NF(p)), and no product F_T0^S * e^a is formed.
 
     Soundness.  Sigma in S_n acts on polynomials by permuting variables.
     F_{sigma T}^S = sigma F_T^S (Ariki, Terasoma & Yamada 1997), so with
@@ -571,7 +558,7 @@ def verify_family(quotient: GradedQuotient, family_name: str, params: dict) -> d
     = (S, a).  The v_T are independent and the kernel is V^lambda (x) K,
     so v_T (x) r is in the span of the earlier v_T' (x) r' modulo the
     kernel exactly when r is in the span of the r' with (r', T) before
-    (r, T), modulo K.  ``family_sort_key`` orders by S, then T, then a,
+    (r, T), modulo K.  The plan lists the family by S, then T, then a,
     so those r' are the representatives before r, for every T.  The
     argument needs:
 
@@ -594,20 +581,23 @@ def verify_family(quotient: GradedQuotient, family_name: str, params: dict) -> d
     if n != quotient.nvars:
         raise ValueError(f"{family_name} has {n} variables, the ring {quotient.nvars}")
     rows: dict = {}  # NF(e_j * x^f) by (degree of f, j), then the slot of f
-    # per degree, (representative, coordinates); a representative's poly is None, as only
-    # its label is read
+    # per degree, (representative, coordinates) in plan order, so grouped by S; a
+    # representative's poly is None, as only its label is read
     reps: dict[int, list[tuple[BasisElement, list]]] = {}
     for s, fillings, cc, degrees in plan:
-        base = quotient.coords(higher_specht(s, fillings[0]), cc)
-        memo = {(0,) * len(degrees[0][0]): base}
+        vecs: dict[tuple[int, ...], list] = {}
         for exps, d in degrees:
-            coords = _efactor_coords(quotient, rows, memo, exps, d)
-            reps.setdefault(d, []).append((BasisElement(None, d, s, fillings[0], exps), coords))
+            if any(exps):
+                j = max(i for i, e in enumerate(exps, start=1) if e)
+                lower = exps[: j - 1] + (exps[j - 1] - 1,) + exps[j:]
+                vecs[exps] = _times_elementary(quotient, rows, vecs[lower], d - j, j)
+            else:
+                vecs[exps] = quotient.coords(higher_specht(s, fillings[0]), cc)
+            reps.setdefault(d, []).append((BasisElement(None, d, s, fillings[0], exps), vecs[exps]))
     counts: dict[int, int] = {}
     offsets: dict[int, int] = {}  # the family position of each degree's first element
     total = 0
     for d in sorted(reps):
-        reps[d].sort(key=lambda pair: family_sort_key(pair[0]))
         offsets[d] = total
         counts[d] = sum(len(standard_tableaux(be.s.shape)) for be, _ in reps[d])
         total += counts[d]
@@ -616,14 +606,15 @@ def verify_family(quotient: GradedQuotient, family_name: str, params: dict) -> d
         dependent = set(dependent_rows([coords for _, coords in reps.get(d, [])]))
         if not dependent:
             return counts.get(d, 0), []
-        elements = sorted(
-            ((replace(be, t=t), i) for i, (be, _) in enumerate(reps[d])
-             for t in standard_tableaux(be.s.shape)),
-            key=lambda pair: family_sort_key(pair[0]),
-        )
-        return counts[d], [
-            (pos, be) for pos, (be, i) in enumerate(elements, offsets[d]) if i in dependent
-        ]
+        failures, pos = [], offsets[d]
+        for _, group in groupby(enumerate(be for be, _ in reps[d]), key=lambda pair: pair[1].s):
+            group = list(group)
+            for t in standard_tableaux(group[0][1].s.shape):
+                for i, be in group:
+                    if i in dependent:
+                        failures.append((pos, replace(be, t=t)))
+                    pos += 1
+        return counts[d], failures
 
     return _basis_report(quotient, counts, check, total, family_name, params)
 
@@ -637,7 +628,7 @@ def gp_recursion_family(mu: Sequence[int], degree: int | None = None) -> list[Ba
     For i = 1..(number of parts), take the family of the i-th child
     partition (one cell removed from part i) in n-1 variables, multiplied
     by x_n^(i-1).  Within each degree the groups are ordered by the power
-    of x_n, then by the usual family order.  ``degree`` restricts the
+    of x_n, then in family order (a stable sort).  ``degree`` restricts the
     family to that degree (degree - (i-1) from child i); None builds all.
     """
     mu = check_partition(mu)
@@ -657,30 +648,16 @@ def gp_recursion_family(mu: Sequence[int], degree: int | None = None) -> list[Ba
                     poly, be.degree + i - 1, be.s, be.t, be.exponents, xpower=i - 1
                 )
             )
-    out.sort(
-        key=lambda be: (
-            be.degree,
-            be.xpower,
-            _s_sort_key(be.s),
-            last_letter_key(be.t),
-        )
-    )
+    out.sort(key=lambda be: (be.degree, be.xpower))
     return out
 
 
 def _row_sort_key(be: BasisElement, n: int):
-    pos = be.t.position_map()
-    r_n = pos[n][0]
+    r_n = be.t.position_map()[n][0]
     lam = list(be.t.shape)
     lam[r_n] -= 1
     lamhat = tuple(p for p in lam if p > 0)
-    return (
-        r_n,
-        -len(lamhat),
-        tuple(-p for p in lamhat),
-        _s_sort_key(be.s),
-        last_letter_key(be.t),
-    )
+    return (r_n, -len(lamhat), tuple(-p for p in lamhat))
 
 
 @dataclass
@@ -700,7 +677,7 @@ def transition_matrix(
 
     Rows are the degree-d elements of the content-mu family, ordered by
     the position of n in T (bottom rows first), then by the shape left
-    after removing n, then by S and the last letter order of T.  Columns
+    after removing n, then in family order (a stable sort).  Columns
     are the recursion family in its own order.  normalize="primitive"
     rescales every element to have coprime integer coefficients.
     """
@@ -712,10 +689,10 @@ def transition_matrix(
     if not mu:
         raise ValueError("mu must be nonempty")
     n = sum(mu)
+    quotient = graded_quotient(build_ideal("Rmu", mu=mu))  # first: its size guard
     rows = build_basis_family("Bmu", mu=mu, degree=d)
     rows.sort(key=lambda be: _row_sort_key(be, n))
     cols = gp_recursion_family(mu, degree=d)
-    quotient = graded_quotient(build_ideal("Rmu", mu=mu))
     hilb = quotient.hilbert[d] if d < len(quotient.hilbert) else 0
     if len(rows) != hilb or len(cols) != hilb:
         raise ArithmeticError(

@@ -343,6 +343,7 @@ def _s_sort_key(s: Tableau):
 
 
 def family_sort_key(be: BasisElement):
+    """The order ``family_plan`` gives every family; the tests compare against it."""
     return (
         be.degree,
         _s_sort_key(be.s),
@@ -367,16 +368,19 @@ def family_plan(kind: str, **params) -> tuple[int, list[tuple]]:
     for every S of the recipe that has an element; the element (S, T, a)
     is F_T^S e_1^a1 e_2^a2 ... for T in fillings, of degree the cocharge
     plus the weight of the exponents, so every degree is known before a
-    polynomial is built.
+    polynomial is built.  The S come in ``_s_sort_key`` order, the
+    fillings in last letter order and each S's exponents in
+    lexicographic order.  Every recipe's exponent set is closed under
+    lowering an entry, so a - delta_j comes before a for every a_j > 0.
     """
     row = lookup(BASES, kind)
     pairs, n, exponent_tuples = row.recipe(**row.check(params))
     plan = []
-    for s, fillings in pairs:
+    for s, fillings in sorted(pairs, key=lambda pair: _s_sort_key(pair[0])):
         cc = cocharge_labels(reading_word(s)).cocharge
         degrees = [
             (exps, cc + sum(j * e for j, e in enumerate(exps, start=1)))
-            for exps in exponent_tuples(s)
+            for exps in sorted(exponent_tuples(s))
         ]
         if degrees:
             plan.append((s, fillings, cc, degrees))
@@ -390,7 +394,8 @@ def build_basis_family(kind: str, *, degree: int | None = None, **params) -> lis
     builds every degree.  Each S gets one symmetrizer application and
     each (S, exponents) one product F_T0^S e^a, relabelled onto every T
     (``_relabel_onto``; e^a is symmetric).  Each e-product is built once
-    per call.  Elements come back sorted by (degree, S, T, exponents).
+    per call.  Elements come in the plan's order, each S's over T, then
+    exponents, stably sorted by degree: the order of ``family_sort_key``.
     """
     n, plan = family_plan(kind, **params)
     out: list[BasisElement] = []
@@ -400,11 +405,13 @@ def build_basis_family(kind: str, *, degree: int | None = None, **params) -> lis
         if not wanted:
             continue
         base = higher_specht(s, fillings[0])
+        images = []
         for exps, d in wanted:
             if any(exps) and exps not in efactors:
                 efactors[exps] = _efactor(exps, n)
             product = base * efactors[exps] if any(exps) else base
-            for t, poly in zip(fillings, _relabel_onto(fillings, product)):
-                out.append(BasisElement(poly, d, s, t, exps))
-    out.sort(key=family_sort_key)
+            images.append((exps, d, _relabel_onto(fillings, product)))
+        for i, t in enumerate(fillings):
+            out += [BasisElement(polys[i], d, s, t, exps) for exps, d, polys in images]
+    out.sort(key=lambda be: be.degree)
     return out

@@ -145,14 +145,6 @@ class Tableau:
     def size(self) -> int:
         return sum(len(row) for row in self.rows)
 
-    def entry(self, r: int, c: int) -> int:
-        return self.rows[r][c]
-
-    def cells(self) -> Iterator[tuple[int, int]]:
-        for r, row in enumerate(self.rows):
-            for c in range(len(row)):
-                yield (r, c)
-
     def content(self) -> tuple[int, ...]:
         """Multiplicity of each letter 1..max."""
         if not self.rows:

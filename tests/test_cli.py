@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ try:
 except ImportError:  # pragma: no cover
     jsonschema = None
 
-from spechtpoly import cli
+from spechtpoly import cli, quotient
 from spechtpoly.cli import main, report_schema
 from spechtpoly.families import BASES, FAMILIES
 from spechtpoly.symfunc import GradedSchurExpansion
@@ -118,6 +119,29 @@ def test_out_of_memory_is_a_clear_usage_error(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: out of memory")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "ring,argv",
+    [
+        ("Rn", ["verify", "--family", "Rn", "--n", "40"]),  # e_20 alone has C(40, 20) terms
+        ("Rnks", ["verify", "--family", "Rnks", "--n", "12", "--k", "12", "--s", "0"]),
+        ("Rnks", ["hilbert", "--family", "Rnks", "--n", "7", "--k", "7", "--s", "0"]),  # 7^7 > 9!
+        ("Rnkmu", ["hilbert", "--family", "Rnkmu", "--n", "9", "--k", "9", "--mu", "1,1"]),
+        ("Rmu", ["transition", "--mu", ",".join(["1"] * 12), "--d", "5"]),  # before the families
+    ],
+)
+def test_too_large_input_is_rejected_before_any_build(capsys, monkeypatch, ring, argv):
+    def built(*args, **kwargs):
+        raise AssertionError("a generator or a family was built")
+
+    monkeypatch.setitem(FAMILIES, ring, replace(FAMILIES[ring], ideal=built))
+    monkeypatch.setattr(quotient, "build_basis_family", built)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "is too large; the size cap is" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
 
 
@@ -390,8 +414,6 @@ def test_sweep_generated(capsys):
 def test_sweep_leaves_the_quotient_cache_alone(capsys, monkeypatch):
     # a long sweep must not keep every case's tables alive; an empty cache
     # makes the check independent of what earlier tests cached
-    from spechtpoly import quotient
-
     monkeypatch.setattr(quotient, "_QUOTIENT_CACHE", {})
     code, report = run_json(capsys, ["sweep", "--family", "Rmu", "--max-n", "3"])
     assert code == 0 and report["total"] == 6

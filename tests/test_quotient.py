@@ -134,6 +134,25 @@ def test_dimension_rnk0_is_k_power_n():
             assert q.dimension == k**n, (n, k)
 
 
+@pytest.mark.parametrize("ring", sorted(FAMILIES))
+def test_dimension_column_is_the_built_dimension(ring):
+    # the size guard of build_ideal reads this column before building anything
+    row = FAMILIES[ring]
+    cases = [params for n in range(1, 6) for params in row.sweep(n)]
+    if ring == "Rnkmu":
+        cases += [{"n": n, "k": k, "mu": list(mu)} for n, k in ((4, 2), (4, 4), (5, 3))
+                  for m in range(n + 1) for mu in partitions(m) if len(mu) <= k]
+    for params in cases:
+        checked = row.check(params)
+        assert row.dimension(**checked) == graded_quotient(build_ideal(ring, **params)).dimension
+
+
+def test_size_guard_accepts_the_rings_up_to_n_9():
+    assert build_ideal("Rn", n=9).nvars == 9  # 9! is the dimension cap
+    assert all(build_ideal("Rmu", mu=mu).nvars == 9 for mu in partitions(9))
+    assert all(build_ideal("Rnkmu", n=n, k=n, mu=(n - 1,)).nvars == n for n in range(2, 10))
+
+
 def test_rn_hilbert_is_symmetric_and_sums_to_factorial():
     from math import factorial
 

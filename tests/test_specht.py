@@ -11,6 +11,7 @@ from spechtpoly.polyring import QQ, Poly, elementary, extend_variables, permute_
 from spechtpoly.quotient import gp_recursion_family
 from spechtpoly.specht import (
     BasisElement,
+    _s_sort_key,
     apply_symmetrizer,
     bilinear_form,
     build_basis_family,
@@ -27,6 +28,7 @@ from spechtpoly.specht import (
 from spechtpoly.tableaux import (
     cocharge,
     enumerate_tableaux,
+    last_letter_key,
     parse_tableau,
     partitions,
     reading_word,
@@ -342,7 +344,7 @@ def test_family_plan_lists_the_full_family_at_the_first_t():
                     assert fillings[0] == standard_tableaux(s.shape)[0]
                     assert higher_specht(s, fillings[0]).degree() == cc
                     reps += [BasisElement(None, d, s, fillings[0], exps) for exps, d in degrees]
-                reps.sort(key=family_sort_key)
+                reps.sort(key=lambda be: be.degree)  # as verify_family groups them
                 first = {be.s: standard_tableaux(be.s.shape)[0] for be in full}
                 want = [be for be in full if be.t == first[be.s]]
                 assert [(be.s, be.t, be.exponents, be.degree) for be in reps] == [
@@ -350,6 +352,47 @@ def test_family_plan_lists_the_full_family_at_the_first_t():
                 ], (row.basis, params)
                 assert sum(standard_count(be.s.shape) for be in reps) == len(full)
                 assert all(be.poly.nvars == nvars for be in full)
+
+
+@pytest.mark.parametrize("ring", sorted(FAMILIES))
+def test_family_plan_decides_the_family_order(ring):
+    # build_basis_family, verify_family and the recursion family read this order and sort
+    # by degree only: the S strictly increasing, each S's exponents strictly increasing
+    # lexicographically with every a - delta_j listed before a
+    row = FAMILIES[ring]
+    for n in range(1, 7):
+        for params in row.sweep(n):
+            _, plan = family_plan(row.basis, **params)
+            keys = [_s_sort_key(s) for s, *_ in plan]
+            assert all(a < b for a, b in zip(keys, keys[1:])), params
+            for s, _, _, degrees in plan:
+                exponents = [exps for exps, _ in degrees]
+                assert all(a < b for a, b in zip(exponents, exponents[1:])), (params, s)
+                for i, exps in enumerate(exponents):
+                    for j, e in enumerate(exps):
+                        if e:
+                            lower = exps[:j] + (e - 1,) + exps[j + 1 :]
+                            assert lower in exponents[:i], (params, s, exps)
+
+
+@pytest.mark.parametrize("ring", sorted(FAMILIES))
+def test_families_come_in_family_sort_key_order(ring):
+    row = FAMILIES[ring]
+    # Bnks at n = 6 has 180,137 elements and takes minutes; its plan order is pinned above
+    for n in range(1, 6 if ring == "Rnks" else 7):
+        for params in row.sweep(n):
+            family = build_basis_family(row.basis, **params)
+            assert family == sorted(family, key=family_sort_key), params
+
+
+def test_gp_recursion_family_is_in_its_full_order():
+    def full_key(be):  # power of x_n, then the child family's S and T
+        return (be.degree, be.xpower, _s_sort_key(be.s), last_letter_key(be.t))
+
+    for n in range(1, 7):
+        for mu in partitions(n):
+            family = gp_recursion_family(mu)
+            assert family == sorted(family, key=full_key), mu
 
 
 def test_garnir_randomized_n6(rng):
