@@ -37,8 +37,8 @@ class Family:
 
     The callables take the checked parameters as keyword arguments:
     ``valid`` is the range check (``rule`` says it in words); ``ideal``
-    returns (nvars, generators, degree cap); ``recipe`` returns the (S,
-    fillings) pairs, the variable count and the rule giving the
+    returns (nvars, generators, degree cap); ``recipe`` returns the S of
+    the basis (lazily), the variable count and the rule giving the
     e-exponent tuples of an S; ``sweep`` lists the JSON-safe params of
     every case for one n; ``formula`` gives Griffin's (n, k, mu);
     ``dimension`` gives the dimension of the ring.
@@ -73,6 +73,10 @@ class Family:
         if not self.valid(**out):
             raise ValueError(f"{self.ring}: {self.rule}")
         return out
+
+
+MAX_NVARS = 10  # the R_mu and R_{n,k,mu} generators run over all 2^n variable subsets
+MAX_DIMENSION = 362_880  # 9!, the dimension of R_9; caps a ring and a built family alike
 
 
 # -- ideals ------------------------------------------------------------------
@@ -144,39 +148,30 @@ def _bounded_tuples(length: int, bound: int) -> Iterable[tuple[int, ...]]:
             yield tuple(parts)
 
 
-def _pairs_standard(n: int):
-    """(S, fillings): every standard S of size n with the standard T of its shape."""
+def _standard_s(n: int):
+    """Every standard S of size n."""
     for shape in partitions(n):
-        stds = standard_tableaux(shape)
-        for s in stds:
-            yield s, stds
+        yield from standard_tableaux(shape)
 
 
-def _pairs_content(mu: Partition):
-    """(S, fillings): every semistandard S of content mu with the standard T of its shape."""
-    n = sum(mu)
-    for shape in partitions(n):
-        semis = semistandard_tableaux(shape, mu)
-        if not semis:
-            continue
-        stds = standard_tableaux(shape)
-        for s in semis:
-            yield s, stds
+def _content_s(mu: Partition):
+    """Every semistandard S of content mu."""
+    for shape in partitions(sum(mu)):
+        yield from semistandard_tableaux(shape, mu)
 
 
 def _recipe_bnks(n, k, s):
-    """Standard pairs times e_1..e_{n-s} monomials with exponent sum below k - des(S)."""
-    return _pairs_standard(n), n, lambda S: _bounded_tuples(n - s, k - descent_stats(S).des)
+    """Standard S times e_1..e_{n-s} monomials with exponent sum below k - des(S)."""
+    return _standard_s(n), n, lambda S: _bounded_tuples(n - s, k - descent_stats(S).des)
 
 
 def _recipe_bnkmu(n, k, mu):
-    """Content (n-1, 1) pairs times powers of e_1 with exponent below k - sdes(S)."""
+    """Content (n-1, 1) S times powers of e_1 with exponent below k - sdes(S)."""
     if mu != (n - 1,):
         raise ValueError("this family is defined for the single-part mu = (n-1)")
     if k > n:
         raise ValueError("need 1 <= k <= n")
-    pairs = _pairs_content((n - 1, 1))
-    return pairs, n, lambda S: [(i,) for i in range(k - semistandard_descents(S))]
+    return _content_s((n - 1, 1)), n, lambda S: [(i,) for i in range(k - semistandard_descents(S))]
 
 
 # -- the table ---------------------------------------------------------------
@@ -189,7 +184,7 @@ FAMILIES = {
             "Rn", "Bn", ("n",),
             lambda n: n >= 0, "need n >= 0",
             lambda n: (n, [elementary(r, n) for r in range(1, n + 1)], comb(n, 2) + 1),
-            lambda n: (_pairs_standard(n), n, lambda S: [()]),
+            lambda n: (_standard_s(n), n, lambda S: [()]),
             lambda n: [{"n": n}],
             lambda n: (n, n, (1,) * n),
             lambda n: factorial(n),
@@ -217,7 +212,7 @@ FAMILIES = {
             # mu = () is valid: its basis {1} is the child family gp_recursion_family needs
             lambda mu: True, "",
             _ideal_rmu,
-            lambda mu: (_pairs_content(mu), sum(mu), lambda S: [()]),
+            lambda mu: (_content_s(mu), sum(mu), lambda S: [()]),
             lambda n: [{"mu": list(mu)} for mu in partitions(n)],
             lambda mu: (sum(mu), len(mu), mu),
             lambda mu: factorial(sum(mu)) // prod(map(factorial, mu)),

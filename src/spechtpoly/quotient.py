@@ -32,9 +32,9 @@ from .polyring import (
     exact_quotient,
     extend_variables,
 )
-from .families import FAMILIES, lookup
+from .families import FAMILIES, MAX_DIMENSION, MAX_NVARS, lookup
 from .specht import BasisElement, build_basis_family, family_plan, higher_specht
-from .tableaux import Partition, check_partition, mu_child, standard_tableaux
+from .tableaux import Partition, check_partition, mu_child
 
 # -- ideal construction ------------------------------------------------------
 
@@ -54,10 +54,6 @@ class IdealSpec:
             self.degree_cap,
             frozenset(g.canonical_key() for g in self.generators),
         )
-
-
-MAX_NVARS = 10  # the R_mu and R_{n,k,mu} generators run over all 2^n variable subsets
-MAX_DIMENSION = 362_880  # 9!, the dimension of R_9
 
 
 def build_ideal(family: str, **params) -> IdealSpec:
@@ -302,10 +298,10 @@ class GradedQuotient:
             else:
                 lead = ech.lead[pos]
                 red[m] = {slot_of_pos[c]: exact_quotient(-v, lead) for c, v in tail.items()}
-        # an entry outside V is a product of V entries of this and lower degrees
-        integral = prev.integral and all(
-            type(v) is int for row in red.values() for v in row.values()
-        )
+        # every pivot row is primitive, so its entries -tail / lead are all ints exactly
+        # when lead is 1; an entry outside V is a product of V entries of this and
+        # lower degrees
+        integral = prev.integral and all(lead == 1 for lead in ech.lead.values())
         times = [[red[vlist[pos]] for pos in cols] for cols in shift_col]
         return _DegreeData(free, free_index, vlist, red, times, prev, integral), rows
 
@@ -520,8 +516,9 @@ def verify_family(quotient: GradedQuotient, family_name: str, params: dict) -> d
     The report equals ``verify_basis(quotient, build_basis_family(basis,
     **params), family_name, params)``, but a degree ranks only the
     coordinates of the representatives, one element F_T0^S * e^a per (S,
-    exponents a) with T0 the first standard tableau of S's shape lambda.
-    Its count is the sum of f^lambda over the representatives.  The
+    exponents a) with T0 the first of the plan's fillings of S, the
+    standard tableaux of S's shape lambda.  Its count is the sum of
+    f^lambda, the number of fillings, over the representatives.  The
     element (S, T, a) is dependent exactly when its representative is
     dependent on the representatives before it, so a degree with a
     dependent representative lists its (S, T, a) in family order, from
@@ -537,19 +534,19 @@ def verify_family(quotient: GradedQuotient, family_name: str, params: dict) -> d
     Soundness.  Sigma in S_n acts on polynomials by permuting variables.
     F_{sigma T}^S = sigma F_T^S (Ariki, Terasoma & Yamada 1997), so with
     sigma_T T0 = T, F_T^S = (sigma_T eps_T0) m, where eps_T0 is the Young
-    symmetrizer and m the monomial of (S, T0).  Hence the elements of a
-    degree are the images of a basis of M = (+)_{(S, a)} C[S_n] eps_T0
-    under the map x_{(S, a)} -> (x m) e^a mod I, and that map is
-    S_n-equivariant.  C[S_n] eps_T0 is irreducible, isomorphic to
-    V^lambda, so M is a sum of copies of the V^lambda, and a kernel is a
-    sum of copies too; on the lambda-isotypic part, by Schur's lemma, it
-    is V^lambda (x) K for a subspace K of the multiplicity space, and it
-    is nonzero exactly when some combination of the images of one nonzero
-    vector, eps_T0, vanishes.  Those images are the representatives, and
-    representatives of different shapes lie in different isotypic parts
-    of R_d.  So the degree's family is independent exactly when its
-    representatives are, and it is a basis when, besides, dim M (the
-    count) is the Hilbert value.
+    symmetrizer and m the monomial of (S, T0).  The plan's fillings of S
+    are every standard T, so the elements of a degree are the images of a
+    basis of M = (+)_{(S, a)} C[S_n] eps_T0 under the map x_{(S, a)} ->
+    (x m) e^a mod I, and that map is S_n-equivariant.  C[S_n] eps_T0 is
+    irreducible, isomorphic to V^lambda, so M is a sum of copies of the
+    V^lambda, and a kernel is a sum of copies too; on the lambda-isotypic
+    part, by Schur's lemma, it is V^lambda (x) K for a subspace K of the
+    multiplicity space, and it is nonzero exactly when some combination
+    of the images of one nonzero vector, eps_T0, vanishes.  Those images
+    are the representatives, and representatives of different shapes lie
+    in different isotypic parts of R_d.  So the degree's family is
+    independent exactly when its representatives are, and it is a basis
+    when, besides, dim M (the count) is the Hilbert value.
 
     Naming.  An element of shape lambda lies in the span of the elements
     before it exactly when it lies in the span of those of shape lambda,
@@ -565,9 +562,6 @@ def verify_family(quotient: GradedQuotient, family_name: str, params: dict) -> d
     - the ideal is S_n-stable, as it is for every ``FAMILIES`` row, so
       projecting to the quotient commutes with S_n;
     - the factor e^a is a product of elementary symmetric polynomials;
-    - each recipe pairs S with every standard T of its shape, so the
-      degree's family is the image of a basis of M with f^lambda
-      elements per (S, a), one per standard T;
     - Young's natural basis, the sigma_T eps_T0 for standard T, is a
       basis of C[S_n] eps_T0.
 
@@ -581,9 +575,9 @@ def verify_family(quotient: GradedQuotient, family_name: str, params: dict) -> d
     if n != quotient.nvars:
         raise ValueError(f"{family_name} has {n} variables, the ring {quotient.nvars}")
     rows: dict = {}  # NF(e_j * x^f) by (degree of f, j), then the slot of f
-    # per degree, (representative, coordinates) in plan order, so grouped by S; a
-    # representative's poly is None, as only its label is read
-    reps: dict[int, list[tuple[BasisElement, list]]] = {}
+    # per degree, (representative, fillings of its S, coordinates) in plan order, so
+    # grouped by S; a representative's poly is None, as only its label is read
+    reps: dict[int, list[tuple[BasisElement, list, list]]] = {}
     for s, fillings, cc, degrees in plan:
         vecs: dict[tuple[int, ...], list] = {}
         for exps, d in degrees:
@@ -593,24 +587,26 @@ def verify_family(quotient: GradedQuotient, family_name: str, params: dict) -> d
                 vecs[exps] = _times_elementary(quotient, rows, vecs[lower], d - j, j)
             else:
                 vecs[exps] = quotient.coords(higher_specht(s, fillings[0]), cc)
-            reps.setdefault(d, []).append((BasisElement(None, d, s, fillings[0], exps), vecs[exps]))
+            be = BasisElement(None, d, s, fillings[0], exps)
+            reps.setdefault(d, []).append((be, fillings, vecs[exps]))
     counts: dict[int, int] = {}
     offsets: dict[int, int] = {}  # the family position of each degree's first element
     total = 0
     for d in sorted(reps):
         offsets[d] = total
-        counts[d] = sum(len(standard_tableaux(be.s.shape)) for be, _ in reps[d])
+        counts[d] = sum(len(fillings) for _, fillings, _ in reps[d])
         total += counts[d]
 
     def check(d: int) -> tuple[int, list[tuple[int, BasisElement]]]:
-        dependent = set(dependent_rows([coords for _, coords in reps.get(d, [])]))
+        dependent = set(dependent_rows([coords for _, _, coords in reps.get(d, [])]))
         if not dependent:
             return counts.get(d, 0), []
         failures, pos = [], offsets[d]
-        for _, group in groupby(enumerate(be for be, _ in reps[d]), key=lambda pair: pair[1].s):
+        for _, group in groupby(enumerate(reps[d]), key=lambda item: item[1][0].s):
             group = list(group)
-            for t in standard_tableaux(group[0][1].s.shape):
-                for i, be in group:
+            _, (_, fillings, _) = group[0]
+            for t in fillings:
+                for i, (be, _, _) in group:
                     if i in dependent:
                         failures.append((pos, replace(be, t=t)))
                     pos += 1

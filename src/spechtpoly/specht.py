@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from . import perms
 from ._linalg import solve_in_span
-from .families import BASES, lookup
+from .families import BASES, MAX_DIMENSION, MAX_NVARS, lookup
 from .polyring import (
     Exponent,
     Poly,
@@ -137,6 +137,8 @@ def specht_classical(t: Tableau) -> Poly:
 
 
 def _check_pair(s: Tableau, t: Tableau) -> None:
+    if t.size > MAX_NVARS:  # a symmetrizer runs over lambda_1! relabellings of a row
+        raise ValueError(f"T has {t.size} cells; the size cap is {MAX_NVARS}")
     if s.shape != t.shape:
         raise ValueError(
             f"shape mismatch: S has {s.shape}, T has {t.shape}"
@@ -365,25 +367,33 @@ def family_plan(kind: str, **params) -> tuple[int, list[tuple]]:
     """The variable count of a basis family (see ``families``) and its plan.
 
     The plan lists (S, fillings, cocharge of S, [(exponents, degree)])
-    for every S of the recipe that has an element; the element (S, T, a)
-    is F_T^S e_1^a1 e_2^a2 ... for T in fillings, of degree the cocharge
-    plus the weight of the exponents, so every degree is known before a
+    for every S of the recipe that has an element; the fillings are
+    every standard T of S's shape, and the element (S, T, a) is F_T^S
+    e_1^a1 e_2^a2 ... for T in fillings, of degree the cocharge plus the
+    weight of the exponents, so every degree is known before a
     polynomial is built.  The S come in ``_s_sort_key`` order, the
     fillings in last letter order and each S's exponents in
     lexicographic order.  Every recipe's exponent set is closed under
     lowering an entry, so a - delta_j comes before a for every a_j > 0.
+    ValueError, before any tableau is enumerated, above MAX_NVARS variables.
     """
     row = lookup(BASES, kind)
-    pairs, n, exponent_tuples = row.recipe(**row.check(params))
+    s_tableaux, n, exponent_tuples = row.recipe(**row.check(params))
+    if n > MAX_NVARS:
+        raise ValueError(f"{kind} {params} is too large; the size cap is n <= {MAX_NVARS}")
     plan = []
-    for s, fillings in sorted(pairs, key=lambda pair: _s_sort_key(pair[0])):
+    fillings: dict[tuple[int, ...], list[Tableau]] = {}  # one list per shape
+    for s in sorted(s_tableaux, key=_s_sort_key):
         cc = cocharge_labels(reading_word(s)).cocharge
         degrees = [
             (exps, cc + sum(j * e for j, e in enumerate(exps, start=1)))
             for exps in sorted(exponent_tuples(s))
         ]
         if degrees:
-            plan.append((s, fillings, cc, degrees))
+            shape = s.shape
+            if shape not in fillings:
+                fillings[shape] = standard_tableaux(shape)
+            plan.append((s, fillings[shape], cc, degrees))
     return n, plan
 
 
@@ -396,17 +406,24 @@ def build_basis_family(kind: str, *, degree: int | None = None, **params) -> lis
     (``_relabel_onto``; e^a is symmetric).  Each e-product is built once
     per call.  Elements come in the plan's order, each S's over T, then
     exponents, stably sorted by degree: the order of ``family_sort_key``.
+    ValueError, before any polynomial is built, above MAX_DIMENSION elements.
     """
     n, plan = family_plan(kind, **params)
+    wanted = [
+        (s, fillings, [(exps, d) for exps, d in degrees if degree in (None, d)])
+        for s, fillings, _, degrees in plan
+    ]
+    size = sum(len(fillings) * len(degrees) for _, fillings, degrees in wanted)
+    if size > MAX_DIMENSION:
+        raise ValueError(f"{kind} {params} has {size} elements; the size cap is {MAX_DIMENSION}")
     out: list[BasisElement] = []
     efactors: dict[tuple[int, ...], Poly] = {}
-    for s, fillings, _, degrees in plan:
-        wanted = [(exps, d) for exps, d in degrees if degree is None or d == degree]
-        if not wanted:
+    for s, fillings, degrees in wanted:
+        if not degrees:
             continue
         base = higher_specht(s, fillings[0])
         images = []
-        for exps, d in wanted:
+        for exps, d in degrees:
             if any(exps) and exps not in efactors:
                 efactors[exps] = _efactor(exps, n)
             product = base * efactors[exps] if any(exps) else base

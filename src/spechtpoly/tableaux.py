@@ -11,7 +11,6 @@ separated by spaces ("1 3 6/2 4 7/5").
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -235,43 +234,18 @@ def reading_cells(shape: Sequence[int]) -> list[tuple[int, int]]:
 
 
 def enumerate_tableaux(
-    shape: Sequence[int],
-    content: Sequence[int] | None = None,
-    flavor: str = "standard",
+    shape: Sequence[int], content: Sequence[int] | None = None
 ) -> list[Tableau]:
-    """All fillings of ``shape`` of the requested flavor.
+    """The column-strict fillings of ``shape`` with the given content, by reading word.
 
-    flavor="standard": bijective fillings with increasing rows/columns;
-    flavor="semistandard": column-strict fillings with the given content;
-    flavor="all-bijective": every bijective filling, no inequalities.
-    The result is sorted by reading word, lexicographically.
+    Rows weakly increase and columns strictly increase.  content None
+    means (1, ..., 1), which gives the standard tableaux.
     """
     shape = check_partition(shape) if shape else ()
     n = sum(shape)
-    if flavor == "standard":
-        if content is not None and tuple(content) != (1,) * n:
-            raise ValueError("standard tableaux have content (1,...,1)")
-        content = (1,) * n
-    elif flavor == "semistandard":
-        if content is None:
-            raise ValueError("semistandard enumeration needs a content")
-        content = tuple(int(c) for c in content)
-        if sum(content) != n or any(c < 0 for c in content):
-            raise ValueError("content must be nonnegative and sum to the size")
-    elif flavor == "all-bijective":
-        if content is not None and tuple(content) != (1,) * n:
-            raise ValueError("bijective fillings have content (1,...,1)")
-        results = []
-        cells = [(r, c) for r, length in enumerate(shape) for c in range(length)]
-        for perm in itertools.permutations(range(1, n + 1)):
-            grid = [[0] * length for length in shape]
-            for (r, c), v in zip(cells, perm):
-                grid[r][c] = v
-            results.append(Tableau(tuple(tuple(row) for row in grid)))
-        results.sort(key=reading_word)
-        return results
-    else:
-        raise ValueError(f"unknown flavor {flavor!r}")
+    content = (1,) * n if content is None else tuple(int(c) for c in content)
+    if sum(content) != n or any(c < 0 for c in content):
+        raise ValueError("content must be nonnegative and sum to the size")
 
     remaining = list(content)
     grid = [[0] * length for length in shape]
@@ -603,7 +577,7 @@ def last_letter_compare(t1: Tableau, t2: Tableau) -> int:
 
 @lru_cache(maxsize=None)
 def _standard_cached(shape: Partition) -> tuple[Tableau, ...]:
-    return tuple(sorted(enumerate_tableaux(shape, flavor="standard"), key=last_letter_key))
+    return tuple(sorted(enumerate_tableaux(shape), key=last_letter_key))
 
 
 def standard_tableaux(shape: Sequence[int]) -> list[Tableau]:
@@ -613,7 +587,7 @@ def standard_tableaux(shape: Sequence[int]) -> list[Tableau]:
 
 @lru_cache(maxsize=None)
 def _semistandard_cached(shape: Partition, content: tuple[int, ...]) -> tuple[Tableau, ...]:
-    return tuple(enumerate_tableaux(shape, content, flavor="semistandard"))
+    return tuple(enumerate_tableaux(shape, content))
 
 
 def semistandard_tableaux(shape: Sequence[int], content: Sequence[int]) -> list[Tableau]:

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import os
 import random
 
 import pytest
 from hypothesis import settings
+
+from spechtpoly.tableaux import Tableau, reading_word
 
 # Property tests draw the same examples on every run, and no example fails
 # for being slow on a busy machine.
@@ -45,3 +48,15 @@ requires_long = pytest.mark.skipif(
     not long_suite_enabled(),
     reason="set SPECHTPOLY_LONG=1 to run the long suite",
 )
+
+
+def bijective_fillings(shape) -> list[Tableau]:
+    """Every bijective filling of ``shape``, no inequalities, sorted by reading word."""
+    cells = [(r, c) for r, length in enumerate(shape) for c in range(length)]
+    out = []
+    for perm in itertools.permutations(range(1, len(cells) + 1)):
+        grid = [[0] * length for length in shape]
+        for (r, c), v in zip(cells, perm):
+            grid[r][c] = v
+        out.append(Tableau(tuple(tuple(row) for row in grid)))
+    return sorted(out, key=reading_word)

@@ -17,7 +17,7 @@ from math import factorial
 
 import pytest
 
-from conftest import requires_long
+from conftest import bijective_fillings, requires_long
 # the CLI's verify report, by the isotypic certificate (``verify_family``);
 # tests/test_quotient.py pins it to ``verify_basis`` on the whole family
 from spechtpoly.cli import _verify_report
@@ -250,7 +250,7 @@ def _partition_content_fillings(lam):
     return [
         s
         for nu in partitions(n)
-        for s in enumerate_tableaux(lam, nu, flavor="semistandard")
+        for s in enumerate_tableaux(lam, nu)
     ]
 
 
@@ -354,7 +354,7 @@ def _suite_pairing_triangularity(rng):
     pool = []
     for lam in ((3, 2, 1), (4, 2)):
         syt = standard_tableaux(lam)
-        superstandard = enumerate_tableaux(lam, lam, flavor="semistandard")[0]
+        superstandard = enumerate_tableaux(lam, lam)[0]
         for i in range(len(syt)):
             for j in range(i + 1, len(syt)):
                 pool.append((superstandard, syt, i, j))
@@ -393,13 +393,13 @@ def _suite_two_row_product(rng):
     for n in range(2, 6):
         for d in range(1, n // 2 + 1):
             shape, _, _ = _two_row_cases(n, d)
-            for t in enumerate_tableaux(shape, flavor="all-bijective"):
+            for t in bijective_fillings(shape):
                 check(n, d, t)
     # randomized tier: 50 cases
     cases = 0
     for n, d, count in ((6, 2, 10), (6, 3, 10), (7, 2, 10), (7, 3, 20)):
         shape, _, _ = _two_row_cases(n, d)
-        fillings = enumerate_tableaux(shape, flavor="all-bijective")
+        fillings = bijective_fillings(shape)
         for t in rng.sample(fillings, count):
             check(n, d, t)
             cases += 1
@@ -407,7 +407,7 @@ def _suite_two_row_product(rng):
 
 
 def _unique_ssyt(shape, content):
-    out = enumerate_tableaux(shape, content, flavor="semistandard")
+    out = enumerate_tableaux(shape, content)
     assert len(out) == 1, (shape, content)
     return out[0]
 

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,7 +19,7 @@ try:
 except ImportError:  # pragma: no cover
     jsonschema = None
 
-from spechtpoly import cli, quotient
+from spechtpoly import cli, quotient, specht
 from spechtpoly.cli import main, report_schema
 from spechtpoly.families import BASES, FAMILIES
 from spechtpoly.symfunc import GradedSchurExpansion
@@ -561,6 +562,23 @@ def test_specht_eval_shape_mismatch(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "shape mismatch" in captured.err
+
+
+def test_specht_eval_rejects_a_tableau_above_the_size_cap(capsys, monkeypatch):
+    # one row of 11 cells would sum over 11! relabellings, about 9 GB
+    def symmetrized(*args, **kwargs):
+        raise AssertionError("the symmetrizer ran")
+
+    monkeypatch.setattr(specht, "apply_symmetrizer", symmetrized)
+    row = " ".join(str(e) for e in range(1, 12))
+    start = time.perf_counter()
+    code = main(["specht-eval", "--s", " ".join(["1"] * 11), "--t", row])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: T has 11 cells; the size cap is 10\n"
+    assert captured.out == ""
+    assert elapsed < 0.5
 
 
 _CSV = ["transition", "--mu", "2,1", "--d", "1", "--format", "csv"]

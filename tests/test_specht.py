@@ -5,6 +5,8 @@ from math import factorial
 
 import pytest
 
+from conftest import bijective_fillings
+from spechtpoly import specht, tableaux
 from spechtpoly.families import FAMILIES
 from spechtpoly.perms import all_permutations
 from spechtpoly.polyring import QQ, Poly, elementary, extend_variables, permute_variables
@@ -137,11 +139,11 @@ def test_symmetrizer_matches_naive():
 def test_symmetrizer_matches_naive_on_every_pair_up_to_n4():
     for n in range(1, 5):
         for lam in partitions(n):
-            fillings = enumerate_tableaux(lam, flavor="all-bijective")
+            fillings = bijective_fillings(lam)
             semis = [
                 s
                 for nu in partitions(n)
-                for s in enumerate_tableaux(lam, nu, flavor="semistandard")
+                for s in enumerate_tableaux(lam, nu)
             ]
             for s in semis:
                 for t in fillings:
@@ -174,7 +176,7 @@ def test_higher_specht_frozen_shape_21():
 def test_higher_specht_degree_is_cocharge():
     for n in range(2, 6):
         for lam in partitions(n):
-            for s in enumerate_tableaux(lam, flavor="standard"):
+            for s in enumerate_tableaux(lam):
                 d = cocharge(reading_word(s))
                 for t in standard_tableaux(lam):
                     f = higher_specht(s, t)
@@ -242,7 +244,7 @@ def test_two_row_closed_form(rng):
             " ".join("1" for _ in range(n - d)) + "/" + " ".join("2" for _ in range(d))
         )
         scale = factorial(d) * factorial(n - d)
-        fillings = enumerate_tableaux(shape, flavor="all-bijective")
+        fillings = bijective_fillings(shape)
         sample = fillings if len(fillings) <= 40 else rng.sample(fillings, 40)
         for t in sample:
             expected = scale * poly_product(
@@ -272,7 +274,7 @@ def test_garnir_annihilation_exhaustive_small():
             ss = [
                 s
                 for nu in contents
-                for s in enumerate_tableaux(lam, nu, flavor="semistandard")
+                for s in enumerate_tableaux(lam, nu)
             ]
             for s in ss:
                 for t in tabs:
@@ -323,13 +325,37 @@ def test_degree_restricted_family_is_its_degree_slice(kind, params):
 
 @pytest.mark.parametrize("ring", sorted(FAMILIES))
 def test_recipes_pair_each_s_with_every_standard_t(ring):
-    # the precondition of the isotypic certificate in quotient.verify_family
+    # the recipes list S only; family_plan pairs each with every standard T of its
+    # shape, which the isotypic certificate of quotient.verify_family rests on
     row = FAMILIES[ring]
     for n in range(1, 6):
         for params in row.sweep(n):
-            pairs = row.recipe(**row.check(params))[0]
-            for s, fillings in pairs:
-                assert list(fillings) == standard_tableaux(s.shape), (ring, params, s)
+            _, plan = family_plan(row.basis, **params)
+            assert plan, (ring, params)
+            for s, fillings, _, _ in plan:
+                assert fillings == standard_tableaux(s.shape), (ring, params, s)
+
+
+@pytest.mark.parametrize(
+    "basis, params",
+    [("Bn", {"n": 11}), ("Bnks", {"n": 7, "k": 7, "s": 0})],  # n > 10; 7^7 > 9! elements
+)
+def test_family_size_cap_comes_before_any_polynomial(monkeypatch, basis, params):
+    def built(*args, **kwargs):
+        raise AssertionError("a higher Specht polynomial was built")
+
+    monkeypatch.setattr(specht, "higher_specht", built)
+    with pytest.raises(ValueError, match="the size cap is"):
+        build_basis_family(basis, **params)
+
+
+def test_family_plan_caps_n_before_any_tableau(monkeypatch):
+    def enumerated(*args, **kwargs):
+        raise AssertionError("a tableau was enumerated")
+
+    monkeypatch.setattr(tableaux, "enumerate_tableaux", enumerated)
+    with pytest.raises(ValueError, match="the size cap is n <= 10"):
+        family_plan("Bmu", mu=(11,))
 
 
 def test_family_plan_lists_the_full_family_at_the_first_t():
@@ -398,9 +424,7 @@ def test_gp_recursion_family_is_in_its_full_order():
 def test_garnir_randomized_n6(rng):
     lam = (3, 2, 1)
     tabs = standard_tableaux(lam)
-    ss = enumerate_tableaux(lam, (3, 2, 1), flavor="semistandard") + standard_tableaux(
-        lam
-    )
+    ss = enumerate_tableaux(lam, (3, 2, 1)) + standard_tableaux(lam)
     moves = list(all_garnir_moves(lam))
     for _ in range(25):
         s = rng.choice(ss)
@@ -461,7 +485,7 @@ def test_families_match_the_direct_definition():
 
 def test_higher_specht_family_relabels_the_first_filling():
     s = parse_tableau("1 1 2/2 3")
-    fillings = enumerate_tableaux((3, 2), flavor="all-bijective")[::7]
+    fillings = bijective_fillings((3, 2))[::7]
     assert higher_specht_family(s, fillings) == [higher_specht(s, t) for t in fillings]
     assert higher_specht_family(s, []) == []
     with pytest.raises(ValueError):
@@ -635,7 +659,7 @@ def test_straighten_respects_linearity(rng):
     s = parse_tableau("1 1/2 2")
     tabs = standard_tableaux(lam)
     basis = [higher_specht(s, t) for t in tabs]
-    for filling in enumerate_tableaux(lam, flavor="all-bijective"):
+    for filling in bijective_fillings(lam):
         coeffs = straighten(s, filling)
         recon = Poly.zero(4)
         for c, b in zip(coeffs, basis):

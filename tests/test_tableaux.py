@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bijective_fillings
 from spechtpoly.tableaux import (
     Tableau,
     cocharge,
@@ -309,7 +310,7 @@ def _ssyt_with_letters(shape, maxletter):
     for content in itertools.product(range(sum(shape) + 1), repeat=maxletter):
         if sum(content) != sum(shape):
             continue
-        out.extend(enumerate_tableaux(shape, content, flavor="semistandard"))
+        out.extend(enumerate_tableaux(shape, content))
     return out
 
 
@@ -327,32 +328,32 @@ def test_rsk_word_count_identity():
 
 
 def test_enumerate_standard():
-    tabs = enumerate_tableaux((2, 1), flavor="standard")
+    tabs = enumerate_tableaux((2, 1))
     assert len(tabs) == 2
     assert all(t.is_standard() for t in tabs)
     assert len(set(tabs)) == 2
     for n in range(1, 6):
         for lam in partitions(n):
-            assert len(enumerate_tableaux(lam, flavor="standard")) == standard_count(
-                lam
-            )
+            assert len(enumerate_tableaux(lam)) == standard_count(lam)
+            # content None is the content (1, ..., 1): the standard bijective fillings
+            standard = [t for t in bijective_fillings(lam) if t.is_standard()]
+            assert enumerate_tableaux(lam) == enumerate_tableaux(lam, (1,) * n) == standard
 
 
 def test_enumerate_semistandard():
-    assert [t.rows for t in enumerate_tableaux((3,), (2, 1), flavor="semistandard")] == [
-        ((1, 1, 2),)
-    ]
-    assert len(enumerate_tableaux((2, 1), (1, 1, 1), flavor="semistandard")) == 2
-    assert len(enumerate_tableaux((2, 1), (2, 1), flavor="semistandard")) == 1
-    assert enumerate_tableaux((2, 2), (2, 1, 1), flavor="semistandard") == [
-        parse_tableau("1 1/2 3")
-    ]
+    assert [t.rows for t in enumerate_tableaux((3,), (2, 1))] == [((1, 1, 2),)]
+    assert len(enumerate_tableaux((2, 1), (1, 1, 1))) == 2
+    assert len(enumerate_tableaux((2, 1), (2, 1))) == 1
+    assert enumerate_tableaux((2, 2), (2, 1, 1)) == [parse_tableau("1 1/2 3")]
     # impossible content gives the empty list
-    assert enumerate_tableaux((1, 1), (2,), flavor="semistandard") == []
+    assert enumerate_tableaux((1, 1), (2,)) == []
+    for content in ((2, 2), (1, -1, 3)):  # wrong size, negative entry
+        with pytest.raises(ValueError):
+            enumerate_tableaux((2, 1), content)
 
 
 def test_enumerate_all_bijective():
-    tabs = enumerate_tableaux((2, 1), flavor="all-bijective")
+    tabs = bijective_fillings((2, 1))
     assert len(tabs) == 6
     assert len(set(tabs)) == 6
     words = [reading_word(t) for t in tabs]
@@ -360,11 +361,8 @@ def test_enumerate_all_bijective():
 
 
 def test_enumeration_is_sorted_by_reading_word():
-    for flavor in ("standard", "semistandard"):
-        tabs = enumerate_tableaux(
-            (3, 2), (1, 1, 1, 1, 1) if flavor == "semistandard" else None, flavor=flavor
-        )
-        words = [reading_word(t) for t in tabs]
+    for content in (None, (2, 2, 1)):
+        words = [reading_word(t) for t in enumerate_tableaux((3, 2), content)]
         assert words == sorted(words)
 
 
