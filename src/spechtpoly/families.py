@@ -27,7 +27,6 @@ from .tableaux import (
     partitions,
     semistandard_descents,
     semistandard_tableaux,
-    standard_tableaux,
 )
 
 
@@ -148,21 +147,15 @@ def _bounded_tuples(length: int, bound: int) -> Iterable[tuple[int, ...]]:
             yield tuple(parts)
 
 
-def _standard_s(n: int):
-    """Every standard S of size n."""
-    for shape in partitions(n):
-        yield from standard_tableaux(shape)
-
-
 def _content_s(mu: Partition):
-    """Every semistandard S of content mu."""
+    """Every semistandard S of content mu; the standard S of size n for mu = (1^n)."""
     for shape in partitions(sum(mu)):
         yield from semistandard_tableaux(shape, mu)
 
 
 def _recipe_bnks(n, k, s):
     """Standard S times e_1..e_{n-s} monomials with exponent sum below k - des(S)."""
-    return _standard_s(n), n, lambda S: _bounded_tuples(n - s, k - descent_stats(S).des)
+    return _content_s((1,) * n), n, lambda S: _bounded_tuples(n - s, k - descent_stats(S).des)
 
 
 def _recipe_bnkmu(n, k, mu):
@@ -184,7 +177,7 @@ FAMILIES = {
             "Rn", "Bn", ("n",),
             lambda n: n >= 0, "need n >= 0",
             lambda n: (n, [elementary(r, n) for r in range(1, n + 1)], comb(n, 2) + 1),
-            lambda n: (_standard_s(n), n, lambda S: [()]),
+            lambda n: (_content_s((1,) * n), n, lambda S: [()]),
             lambda n: [{"n": n}],
             lambda n: (n, n, (1,) * n),
             lambda n: factorial(n),

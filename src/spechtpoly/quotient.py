@@ -30,7 +30,6 @@ from .polyring import (
     elementary,
     exact,
     exact_quotient,
-    extend_variables,
 )
 from .families import FAMILIES, MAX_DIMENSION, MAX_NVARS, lookup
 from .specht import BasisElement, build_basis_family, family_plan, higher_specht
@@ -89,6 +88,20 @@ def _drop(exp: Exponent, i: int) -> Exponent:
     return exp[:i] + (exp[i] - 1,) + exp[i + 1 :]
 
 
+def _add_row(acc: dict, row: dict, coeff, keys: Sequence | None = None) -> None:
+    """acc += coeff * row, entry k of row landing at keys[k] (at k when keys is None).
+
+    acc keeps no zero entry, as ``Echelon.insert`` requires of its rows.
+    """
+    pairs = row.items() if keys is None else zip(map(keys.__getitem__, row), row.values())
+    for k, c in pairs:
+        nv = acc.get(k, 0) + coeff * c
+        if nv:
+            acc[k] = nv
+        else:
+            del acc[k]
+
+
 @dataclass
 class _DegreeData:
     free: list[Exponent]
@@ -104,12 +117,7 @@ class _DegreeData:
         out: dict[int, object] = {}
         rows = self.times[i]
         for slot, c in vec.items():
-            for s2, c2 in rows[slot].items():
-                nv = out.get(s2, 0) + c * c2
-                if nv:
-                    out[s2] = nv
-                else:
-                    del out[s2]
+            _add_row(out, rows[slot], c)
         return out
 
     def normal_form(self, m: Exponent) -> dict[int, object]:
@@ -235,21 +243,10 @@ class GradedQuotient:
         def route(acc: dict[int, object], m: Exponent, coeff) -> None:
             pos = vindex.get(m)
             if pos is not None:
-                nv = acc.get(pos, 0) + coeff
-                if nv:
-                    acc[pos] = nv
-                else:
-                    del acc[pos]
-                return
-            i = _maxindex(m)
-            cols = shift_col[i]
-            for slot, c in prev.normal_form(_drop(m, i)).items():
-                col = cols[slot]
-                nv = acc.get(col, 0) + coeff * c
-                if nv:
-                    acc[col] = nv
-                else:
-                    del acc[col]
+                _add_row(acc, {pos: 1}, coeff)
+            else:
+                i = _maxindex(m)
+                _add_row(acc, prev.normal_form(_drop(m, i)), coeff, shift_col[i])
 
         for terms in self._gens_by_degree.get(d, []):
             acc: dict[int, object] = {}
@@ -267,22 +264,11 @@ class GradedQuotient:
             route_below = 0 if chain and chain[-1] == maxi else maxi
             for i in range(top + 1):
                 up = _bump(m, i)
-                pos = vindex.get(up)
-                if pos is None and i >= route_below:
+                if i >= route_below and up not in vindex:
                     continue
                 acc = {}
-                if pos is not None:
-                    acc[pos] = 1
-                else:
-                    route(acc, up, 1)
-                cols = shift_col[i]
-                for slot, c in redm.items():
-                    col = cols[slot]
-                    nv = acc.get(col, 0) - c
-                    if nv:
-                        acc[col] = nv
-                    else:
-                        del acc[col]
+                route(acc, up, 1)
+                _add_row(acc, redm, -1, shift_col[i])
                 if acc:
                     add_row(acc)
 
@@ -366,13 +352,7 @@ class GradedQuotient:
                 continue
             data = self._by_degree[d]
             for exp, coeff in comp.terms.items():
-                for slot, v in data.normal_form(exp).items():
-                    key = data.free[slot]
-                    nv = terms.get(key, 0) + coeff * v
-                    if nv:
-                        terms[key] = nv
-                    else:
-                        del terms[key]
+                _add_row(terms, data.normal_form(exp), coeff, data.free)
         return Poly._raw(self.nvars, {e: exact(c) for e, c in terms.items()})
 
     def is_zero_in_quotient(self, poly: Poly) -> bool:
@@ -502,9 +482,8 @@ def _times_elementary(quotient: GradedQuotient, rows: dict, vec: list, d: int, j
             acc: dict[int, object] = {}
             for subset in subsets:
                 m = tuple([a + b for a, b in zip(f, subset)])
-                for s2, c2 in target.normal_form(m).items():
-                    acc[s2] = acc.get(s2, 0) + c2
-            row = known[slot] = [(s2, c2) for s2, c2 in acc.items() if c2]
+                _add_row(acc, target.normal_form(m), 1)
+            row = known[slot] = list(acc.items())
         for s2, c2 in row:
             out[s2] += c * c2
     return out
@@ -581,12 +560,13 @@ def verify_family(quotient: GradedQuotient, family_name: str, params: dict) -> d
     for s, fillings, cc, degrees in plan:
         vecs: dict[tuple[int, ...], list] = {}
         for exps, d in degrees:
-            if any(exps):
-                j = max(i for i, e in enumerate(exps, start=1) if e)
-                lower = exps[: j - 1] + (exps[j - 1] - 1,) + exps[j:]
-                vecs[exps] = _times_elementary(quotient, rows, vecs[lower], d - j, j)
-            else:
+            j = _maxindex(exps)  # 0-based: e_(j+1) is the last factor of e^a; -1 for a = 0
+            if j < 0:
                 vecs[exps] = quotient.coords(higher_specht(s, fillings[0]), cc)
+            else:
+                vecs[exps] = _times_elementary(
+                    quotient, rows, vecs[_drop(exps, j)], d - j - 1, j + 1
+                )
             be = BasisElement(None, d, s, fillings[0], exps)
             reps.setdefault(d, []).append((be, fillings, vecs[exps]))
     counts: dict[int, int] = {}
@@ -636,9 +616,7 @@ def gp_recursion_family(mu: Sequence[int], degree: int | None = None) -> list[Ba
         child = mu_child(mu, i)
         child_degree = None if degree is None else degree - (i - 1)
         for be in build_basis_family("Bmu", mu=child, degree=child_degree):
-            poly = extend_variables(be.poly, n)
-            if i > 1:
-                poly = poly * Poly.variable(n, n) ** (i - 1)
+            poly = Poly._raw(n, {e + (i - 1,): c for e, c in be.poly.terms.items()})
             out.append(
                 BasisElement(
                     poly, be.degree + i - 1, be.s, be.t, be.exponents, xpower=i - 1

@@ -215,17 +215,11 @@ def dual_specht(s: Tableau, t: Tableau) -> Poly:
     _check_pair(s, t)
     if not t.is_standard():
         raise ValueError("the dual construction needs T standard")
-    labels = cocharge_label_tableau(s)
-    n = t.size
-    exp = [0] * n
-    for r, row in enumerate(t.rows):
-        for c, entry in enumerate(row):
-            e = entry - 1 - labels[r][c]
-            if e < 0:
-                raise ValueError(
-                    f"dual polynomial undefined: exponent {e} at entry {entry}"
-                )
-            exp[entry - 1] = e
+    (tagged,) = tagged_monomial(s, t).terms
+    exp = [i - e for i, e in enumerate(tagged)]
+    for i, e in enumerate(exp):
+        if e < 0:
+            raise ValueError(f"dual polynomial undefined: exponent {e} at entry {i + 1}")
     return apply_symmetrizer(t.transpose(), Poly.monomial(exp))
 
 

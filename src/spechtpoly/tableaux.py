@@ -577,7 +577,7 @@ def last_letter_compare(t1: Tableau, t2: Tableau) -> int:
 
 @lru_cache(maxsize=None)
 def _standard_cached(shape: Partition) -> tuple[Tableau, ...]:
-    return tuple(sorted(enumerate_tableaux(shape), key=last_letter_key))
+    return tuple(sorted(_semistandard_cached(shape, (1,) * sum(shape)), key=last_letter_key))
 
 
 def standard_tableaux(shape: Sequence[int]) -> list[Tableau]:

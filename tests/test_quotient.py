@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spechtpoly._linalg import _integral_row, kernel_basis, solve_in_span
+from spechtpoly._linalg import Echelon, _integral_row, kernel_basis, solve_in_span
 from spechtpoly.families import FAMILIES
 from spechtpoly.polyring import QQ, Poly, elementary, monomials_of_degree
 from spechtpoly.quotient import (
@@ -31,6 +31,7 @@ from spechtpoly.quotient import (
     verify_family,
 )
 from spechtpoly.specht import build_basis_family, higher_specht
+from spechtpoly.symfunc import graded_frobenius
 from spechtpoly.tableaux import format_tableau, parse_tableau, partitions, standard_tableaux
 
 from conftest import requires_long
@@ -836,6 +837,48 @@ def test_table_entries_are_integers():
     for spec in (build_ideal("Rn", n=4), build_ideal("Rmu", mu=(2, 2, 1))):
         q = GradedQuotient(spec)
         assert all(type(v) is int for v in _table_entries(q)), spec.family
+
+
+def test_sparse_rows_never_hold_a_zero(monkeypatch):
+    # Echelon.insert takes rows without zero entries: check every row the builder
+    # inserts, then every table row, memoised e_j row and projected term once read
+    class CheckedEchelon(Echelon):
+        def insert(self, acc):
+            assert all(acc.values()), acc
+            return super().insert(acc)
+
+    monkeypatch.setattr("spechtpoly.quotient.Echelon", CheckedEchelon)
+    x1, x2, x3 = (Poly.variable(i, 3) for i in (1, 2, 3))
+    y1, y2 = Poly.variable(1, 2), Poly.variable(2, 2)
+    rational = [
+        IdealSpec(3, (2 * x1 + 3 * x2, *_cubes(3)), 7),
+        IdealSpec(3, (QQ(1, 2) * x1 - x2, QQ(1, 2) * x2 * x3 + QQ(1, 3) * x1 * x1, *_cubes(3)), 7),
+        IdealSpec(2, (3 * y1 * y1 + 2 * y2 * y2, y1 * y2 * y2, y1**4, y2**4), 5),
+    ]
+    rings = [
+        build_ideal(ring, **params)
+        for n in range(1, 5)
+        for ring, row in FAMILIES.items()
+        for params in row.sweep(n)
+    ]
+    for spec in rings + rational:
+        q = GradedQuotient(spec)
+        n = q.nvars
+        if spec.family:  # the characters of an S_n-stable ideal
+            graded_frobenius(q)
+        rows: dict = {}
+        for d in range(q.max_degree + 2):
+            monos = monomials_of_degree(n, d)
+            q.coords(Poly(n, {m: 1 for m in monos}), d)
+            size = len(q.free_monomials(d))
+            for j in range(1, n + 1):
+                for m in monos:
+                    assert all(q.project(elementary(j, n) * Poly.monomial(m, 1)).terms.values())
+                for slot in range(size):
+                    _times_elementary(q, rows, [int(s == slot) for s in range(size)], d, j)
+        for data in q._by_degree:
+            assert all(all(row.values()) for row in data.red.values()), spec
+        assert all(c for memo in rows.values() for row in memo.values() for _, c in row), spec
 
 
 @st.composite
