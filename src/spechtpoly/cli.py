@@ -39,7 +39,7 @@ def _resolve_params(family: str, args: argparse.Namespace) -> dict:
 
 
 def _verify_report(family: str, params: dict) -> dict:
-    quotient = graded_quotient(build_ideal(family, **params))
+    quotient = graded_quotient(family, **params)
     return verify_family(quotient, family, params)
 
 
@@ -91,7 +91,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_frobenius(args: argparse.Namespace) -> int:
     params = _resolve_params(args.family, args)
-    quotient = graded_quotient(build_ideal(args.family, **params))
+    quotient = graded_quotient(args.family, **params)
     computed = graded_frobenius(quotient)
     config = {"family": args.family, "params": params, "compare": args.compare}
     report = _report_skeleton("frobenius", config)
@@ -223,7 +223,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_hilbert(args: argparse.Namespace) -> int:
     params = _resolve_params(args.family, args)
-    quotient = graded_quotient(build_ideal(args.family, **params))
+    quotient = graded_quotient(args.family, **params)
     report = _report_skeleton("hilbert", {"family": args.family, "params": params})
     report["hilbert"] = list(quotient.hilbert)
     report["dimension"] = quotient.dimension

@@ -131,20 +131,15 @@ def _griffin_dimension(n, k, mu):
 
 
 def _bounded_tuples(length: int, bound: int) -> Iterable[tuple[int, ...]]:
-    """All nonnegative integer tuples of the given length with sum < bound."""
-    if bound <= 0:
-        return
+    """All nonnegative integer tuples of the given length with sum < bound, in
+    lexicographic order."""
     if length == 0:
-        yield ()
+        if bound > 0:
+            yield ()
         return
-    for total in range(bound):
-        for cuts in itertools.combinations(range(total + length - 1), length - 1):
-            prev = -1
-            parts = []
-            for cut in cuts + (total + length - 1,):
-                parts.append(cut - prev - 1)
-                prev = cut
-            yield tuple(parts)
+    for first in range(bound):
+        for rest in _bounded_tuples(length - 1, bound - first):
+            yield (first,) + rest
 
 
 def _content_s(mu: Partition):

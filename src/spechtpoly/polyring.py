@@ -260,13 +260,6 @@ class Poly:
             {e: c.numerator * (den // c.denominator) // num for e, c in self.terms.items()},
         )
 
-    def canonical_key(self):
-        """Hashable exact fingerprint, used for caching."""
-        return (
-            self.nvars,
-            tuple((e, (c.numerator, c.denominator)) for e, c in self.sorted_terms()),
-        )
-
     # -- rendering ----------------------------------------------------------
 
     def __str__(self) -> str:

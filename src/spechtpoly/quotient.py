@@ -47,13 +47,6 @@ class IdealSpec:
     degree_cap: int
     family: str = ""
 
-    def cache_key(self):
-        return (
-            self.nvars,
-            self.degree_cap,
-            frozenset(g.canonical_key() for g in self.generators),
-        )
-
 
 def build_ideal(family: str, **params) -> IdealSpec:
     """The generators of a ring of the family table (see ``families``); ValueError,
@@ -362,12 +355,13 @@ class GradedQuotient:
 _QUOTIENT_CACHE: dict[tuple, GradedQuotient] = {}
 
 
-def graded_quotient(spec: IdealSpec) -> GradedQuotient:
-    key = spec.cache_key()
+def graded_quotient(family: str, **params) -> GradedQuotient:
+    """The quotient of a ring of the family table, built once per process for each
+    family and checked parameters; a hand-built ``IdealSpec`` is never cached."""
+    key = (family, *lookup(FAMILIES, family).check(params).values())
     q = _QUOTIENT_CACHE.get(key)
     if q is None:
-        q = GradedQuotient(spec)
-        _QUOTIENT_CACHE[key] = q
+        q = _QUOTIENT_CACHE[key] = GradedQuotient(build_ideal(family, **params))
     return q
 
 
@@ -663,7 +657,7 @@ def transition_matrix(
     if not mu:
         raise ValueError("mu must be nonempty")
     n = sum(mu)
-    quotient = graded_quotient(build_ideal("Rmu", mu=mu))  # first: its size guard
+    quotient = graded_quotient("Rmu", mu=mu)  # first: its size guard
     rows = build_basis_family("Bmu", mu=mu, degree=d)
     rows.sort(key=lambda be: _row_sort_key(be, n))
     cols = gp_recursion_family(mu, degree=d)

@@ -31,7 +31,6 @@ from spechtpoly.polyring import (
 )
 from spechtpoly.quotient import (
     almost_lower_triangular,
-    build_ideal,
     graded_quotient,
     transition_matrix,
 )
@@ -116,7 +115,7 @@ def test_02_generalized_basis():
 def test_03_rnk_frobenius_formula():
     for n in range(1, 5):
         for k in range(1, n + 1):
-            quotient = graded_quotient(build_ideal("Rnk", n=n, k=k))
+            quotient = graded_quotient("Rnk", n=n, k=k)
             assert graded_frobenius(quotient) == grfrob_formula_rnk(n, k), (n, k)
 
 
@@ -147,7 +146,7 @@ def test_04_deformed_basis_long_tier():
 def test_05_mu_frobenius_is_cocharge_expansion():
     for n in range(1, 6):
         for mu in partitions(n):
-            quotient = graded_quotient(build_ideal("Rmu", mu=mu))
+            quotient = graded_quotient("Rmu", mu=mu)
             assert graded_frobenius(quotient) == hall_littlewood_cocharge(mu), mu
 
 
@@ -230,7 +229,7 @@ def test_08_single_part_mu():
                 expected = expected + hook.scaled((1,) * (k - 1))
             assert grfrob_formula_rnkmu(n, k, mu) == expected, (n, k)
             if n <= 5:
-                quotient = graded_quotient(build_ideal("Rnkmu", n=n, k=k, mu=mu))
+                quotient = graded_quotient("Rnkmu", n=n, k=k, mu=mu)
                 assert graded_frobenius(quotient) == expected, (n, k)
 
 
@@ -445,7 +444,7 @@ def _suite_two_row_straightening():
     for n in range(2, 8):
         for k in range(1, n // 2 + 1):
             mu = (n - k, k)
-            quotient = graded_quotient(build_ideal("Rmu", mu=mu))
+            quotient = graded_quotient("Rmu", mu=mu)
             for d in range(1, k + 1):
                 for t in standard_tableaux((n - d, d)):
                     if t.rows[1][-1] == n:

@@ -106,7 +106,7 @@ def test_verify_rnkmu_general_mu_rejected(capsys):
 
 
 def _raising(exc):
-    def graded_quotient(spec):
+    def graded_quotient(family, **params):
         raise exc
 
     return graded_quotient

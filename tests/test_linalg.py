@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from spechtpoly import _linalg
 from spechtpoly._linalg import _P, _dependent_mod_p, dependent_rows, kernel_basis, solve_in_span
 from spechtpoly.polyring import QQ, Poly
-from spechtpoly.quotient import build_ideal, graded_quotient, verify_basis
+from spechtpoly.quotient import GradedQuotient, build_ideal, verify_basis
 from spechtpoly.specht import build_basis_family
 
 try:
@@ -332,7 +332,7 @@ def _differential_cases():
     "spec,family", [pytest.param(spec, fam, id=name) for name, spec, fam in _differential_cases()]
 )
 def test_verify_basis_ranks_match_exact_elimination(spec, family):
-    quotient = graded_quotient(spec)
+    quotient = GradedQuotient(spec)
     report = verify_basis(quotient, family)
     dependent = []
     for entry in report["per_degree"]:
@@ -362,7 +362,7 @@ def _as_rationals(be):
 def test_verify_basis_integer_family_matches_rational_family(spec, family):
     # the families are integral, so the rule gives every coefficient as an int
     assert all(type(c) is int for be in family for c in be.poly.terms.values())
-    quotient = graded_quotient(spec)
+    quotient = GradedQuotient(spec)
     rational = [_as_rationals(be) for be in family]
     assert verify_basis(quotient, family) == verify_basis(quotient, rational)
 

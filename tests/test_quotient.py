@@ -106,8 +106,8 @@ def brute_hilbert(spec: IdealSpec) -> list[int]:
 
 
 def test_hilbert_r3_r4_frozen():
-    assert graded_quotient(build_ideal("Rn", n=3)).hilbert == (1, 2, 2, 1)
-    assert graded_quotient(build_ideal("Rn", n=4)).hilbert == (1, 3, 5, 6, 5, 3, 1)
+    assert graded_quotient("Rn", n=3).hilbert == (1, 2, 2, 1)
+    assert graded_quotient("Rn", n=4).hilbert == (1, 3, 5, 6, 5, 3, 1)
 
 
 def test_hilbert_against_dense_row_reduction():
@@ -116,13 +116,13 @@ def test_hilbert_against_dense_row_reduction():
     specs.append(build_ideal("Rnks", n=3, k=2, s=1))
     specs.append(build_ideal("Rnkmu", n=4, k=2, mu=(3,)))
     for spec in specs:
-        assert list(graded_quotient(spec).hilbert) == brute_hilbert(spec), spec.family
+        assert list(GradedQuotient(spec).hilbert) == brute_hilbert(spec), spec.family
 
 
 def test_dimension_rmu_is_multinomial():
     for n in range(1, 6):
         for mu in partitions(n):
-            q = graded_quotient(build_ideal("Rmu", mu=mu))
+            q = graded_quotient("Rmu", mu=mu)
             assert q.dimension == multinomial(mu), mu
 
 
@@ -131,7 +131,7 @@ def test_dimension_rnk0_is_k_power_n():
         for k in range(1, 4):
             if k > n:
                 continue
-            q = graded_quotient(build_ideal("Rnks", n=n, k=k, s=0))
+            q = graded_quotient("Rnks", n=n, k=k, s=0)
             assert q.dimension == k**n, (n, k)
 
 
@@ -145,7 +145,7 @@ def test_dimension_column_is_the_built_dimension(ring):
                   for m in range(n + 1) for mu in partitions(m) if len(mu) <= k]
     for params in cases:
         checked = row.check(params)
-        assert row.dimension(**checked) == graded_quotient(build_ideal(ring, **params)).dimension
+        assert row.dimension(**checked) == graded_quotient(ring, **params).dimension
 
 
 def test_size_guard_accepts_the_rings_up_to_n_9():
@@ -158,23 +158,35 @@ def test_rn_hilbert_is_symmetric_and_sums_to_factorial():
     from math import factorial
 
     for n in range(1, 6):
-        h = graded_quotient(build_ideal("Rn", n=n)).hilbert
+        h = graded_quotient("Rn", n=n).hilbert
         assert h == tuple(reversed(h))
         assert sum(h) == factorial(n)
         assert len(h) == comb(n, 2) + 1
 
 
-def test_generator_level_cache_sharing():
-    # the one-column partition presents the same generators as the full
-    # coinvariant ideal, so the cached quotient object is literally shared
-    q1 = graded_quotient(build_ideal("Rn", n=3))
-    q2 = graded_quotient(build_ideal("Rmu", mu=(1, 1, 1)))
-    assert q1 is q2
-    q3 = graded_quotient(build_ideal("Rnk", n=4, k=2))
-    q4 = graded_quotient(build_ideal("Rnkmu", n=4, k=2, mu=(1, 1)))
-    assert q3 is q4
-    # and the cache is keyed on content, not on object identity
-    assert graded_quotient(build_ideal("Rn", n=3)) is q1
+def test_quotient_cache_is_keyed_by_ring_name(monkeypatch):
+    # an empty cache makes the check independent of what earlier tests cached
+    cache = {}
+    monkeypatch.setattr("spechtpoly.quotient._QUOTIENT_CACHE", cache)
+    # a hand-built spec with the generators of Rn 3 is never cached
+    rn3 = build_ideal("Rn", n=3)
+    GradedQuotient(IdealSpec(rn3.nvars, rn3.generators, rn3.degree_cap))
+    assert cache == {}
+    # Rmu (1,1,1) and Rn 3 present the same generators, yet each keeps its name
+    assert graded_quotient("Rmu", mu=(1, 1, 1)).spec.family == "Rmu"
+    assert graded_quotient("Rn", n=3).spec.family == "Rn"
+    assert verify_family(graded_quotient("Rn", n=3), "Rn", {"n": 3})["verdict"] is True
+    assert graded_quotient("Rnkmu", n=4, k=2, mu=(1, 1)).spec.family == "Rnkmu"
+    assert graded_quotient("Rnk", n=4, k=2).spec.family == "Rnk"
+    # the key holds the checked parameters, and a hit builds no ideal
+    q = graded_quotient("Rmu", mu=[2, 1])
+
+    def built(*args, **kwargs):
+        raise AssertionError("a cache hit built an ideal")
+
+    monkeypatch.setattr("spechtpoly.quotient.build_ideal", built)
+    assert graded_quotient("Rmu", mu=(2, 1)) is q
+    assert graded_quotient("Rmu", mu=[2, 1]) is q
 
 
 def test_build_ideal_validation():
@@ -240,7 +252,7 @@ def test_quotient_cap_too_small_raises():
 
 
 def test_project_and_membership():
-    q = graded_quotient(build_ideal("Rn", n=3))
+    q = graded_quotient("Rn", n=3)
     e1 = elementary(1, 3)
     x1 = Poly.variable(1, 3)
     assert q.is_zero_in_quotient(e1)
@@ -256,7 +268,7 @@ def test_project_and_membership():
 
 
 def test_coords_and_reduce_monomial():
-    q = graded_quotient(build_ideal("Rn", n=3))
+    q = graded_quotient("Rn", n=3)
     x3 = Poly.variable(3, 3)
     vec = q.coords(x3, 1)
     assert len(vec) == q.hilbert[1] == 2
@@ -274,7 +286,7 @@ def test_coords_and_reduce_monomial():
 
 
 def test_degree_slice():
-    q = graded_quotient(build_ideal("Rn", n=3))
+    q = graded_quotient("Rn", n=3)
     rank, projector = degree_slice(q, 1)
     assert rank == 3 - 2 == 1
     x1, x2, x3 = (Poly.variable(i, 3) for i in (1, 2, 3))
@@ -286,7 +298,7 @@ def test_degree_slice():
 
 
 def test_verify_basis_accepts_bn():
-    q = graded_quotient(build_ideal("Rn", n=3))
+    q = graded_quotient("Rn", n=3)
     fam = build_basis_family("Bn", n=3)
     report = verify_basis(q, fam, "Bn", {"n": 3})
     assert report["verdict"] is True
@@ -297,7 +309,7 @@ def test_verify_basis_accepts_bn():
 
 
 def test_verify_basis_pinpoints_dependence():
-    q = graded_quotient(build_ideal("Rn", n=3))
+    q = graded_quotient("Rn", n=3)
     fam = build_basis_family("Bn", n=3)
     degs = [be.degree for be in fam]
     i, j = degs.index(1), len(degs) - 1 - degs[::-1].index(1)
@@ -313,7 +325,7 @@ def test_verify_basis_pinpoints_dependence():
 
 
 def test_verify_basis_pinpoints_count():
-    q = graded_quotient(build_ideal("Rn", n=3))
+    q = graded_quotient("Rn", n=3)
     fam = build_basis_family("Bn", n=3)
     dropped = fam[:-1]  # loses the top-degree element
     report = verify_basis(q, dropped)
@@ -379,7 +391,7 @@ def _full_report(quotient, family, params):
     ],
 )
 def test_verify_family_matches_verify_basis(family, params):
-    quotient = graded_quotient(build_ideal(family, **params))
+    quotient = graded_quotient(family, **params)
     assert verify_family(quotient, family, params) == _full_report(quotient, family, params)
 
 
@@ -396,7 +408,7 @@ def test_verify_family_matches_verify_basis(family, params):
 )
 def test_verify_family_names_each_failure(family, params, ring, ring_params):
     # an S_n-stable quotient of another ring, on which the family is no basis
-    quotient = graded_quotient(build_ideal(ring, **ring_params))
+    quotient = graded_quotient(ring, **ring_params)
     report = verify_family(quotient, family, params)
     assert report["verdict"] is False
     assert report == _full_report(quotient, family, params)
@@ -421,7 +433,7 @@ def test_verify_family_matches_verify_basis_on_every_ring_of_the_same_n():
         for family, params in cases:
             elements = build_basis_family(FAMILIES[family].basis, **params)
             for ring, ring_params in cases:
-                quotient = graded_quotient(build_ideal(ring, **ring_params))
+                quotient = graded_quotient(ring, **ring_params)
                 report = verify_family(quotient, family, params)
                 assert report == verify_basis(quotient, elements, family, params), (
                     family, params, ring, ring_params,
@@ -437,14 +449,14 @@ def test_verify_family_rejects_a_ring_outside_its_proof():
     # (x3 - x1) + m^2 is not S_3-stable: degree 1 has the Hilbert count 2 and
     # a nonzero representative, but x3 - x1 = 0 makes the family rank 1
     x1, x3 = Poly.variable(1, 3), Poly.variable(3, 3)
-    unstable = graded_quotient(
+    unstable = GradedQuotient(
         IdealSpec(3, (x3 - x1, *map(Poly.monomial, monomials_of_degree(3, 2))), 2)
     )
     assert _full_report(unstable, "Rn", {"n": 3})["verdict"] is False
     with pytest.raises(ValueError, match="FAMILIES ring"):
         verify_family(unstable, "Rn", {"n": 3})
     with pytest.raises(ValueError, match="variables"):
-        verify_family(graded_quotient(build_ideal("Rn", n=4)), "Rn", {"n": 3})
+        verify_family(graded_quotient("Rn", n=4), "Rn", {"n": 3})
 
 
 def test_elementary_rows_match_coords_of_the_products():
@@ -453,7 +465,7 @@ def test_elementary_rows_match_coords_of_the_products():
     for n in range(1, 5):
         for ring, row in FAMILIES.items():
             for params in row.sweep(n):
-                q = graded_quotient(build_ideal(ring, **params))
+                q = graded_quotient(ring, **params)
                 rows: dict = {}
                 for d in range(q.max_degree + 1):
                     free = q.free_monomials(d)
@@ -518,7 +530,7 @@ def test_e_factor_families_match_verify_basis_on_every_ring_of_n5():
             if len(elements) > 600:
                 continue
             for ring, ring_params in rings:
-                quotient = graded_quotient(build_ideal(ring, **ring_params))
+                quotient = graded_quotient(ring, **ring_params)
                 assert verify_family(quotient, family, params) == verify_basis(
                     quotient, elements, family, params
                 ), (family, params, ring, ring_params)
@@ -535,7 +547,7 @@ def test_b2222_degree_5_is_dependent_already_in_the_polynomial_ring():
     2 F^{S1} + F^{S2} = 0 in Q[x1..x8], with neither polynomial zero.
     """
     mu = [2, 2, 2, 2]
-    report = verify_family(graded_quotient(build_ideal("Rmu", mu=mu)), "Rmu", {"mu": mu})
+    report = verify_family(graded_quotient("Rmu", mu=mu), "Rmu", {"mu": mu})
     assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == (
         "1fc73293f9072c9317c5db660930966f27b542f596cc1a9d91ea5b026c9a723c"
     )
@@ -594,7 +606,7 @@ def test_gp_recursion_family_shape():
 
 def test_gp_recursion_family_spans():
     for mu in ((2, 1), (2, 2), (3, 1)):
-        q = graded_quotient(build_ideal("Rmu", mu=mu))
+        q = graded_quotient("Rmu", mu=mu)
         fam = gp_recursion_family(mu)
         report = verify_basis(q, fam, "Cmu", {"mu": list(mu)})
         assert report["verdict"] is True, mu
@@ -607,7 +619,7 @@ def test_transition_degree_zero_frozen():
 
 def test_transition_expresses_rows_over_columns():
     mu = (2, 2)
-    q = graded_quotient(build_ideal("Rmu", mu=mu))
+    q = graded_quotient("Rmu", mu=mu)
     for d in range(len(q.hilbert)):
         res = transition_matrix(mu, d)
         assert len(res.matrix) == len(res.rows) == len(res.cols) == q.hilbert[d]
@@ -626,7 +638,7 @@ def test_transition_matches_filtered_full_families(mu):
     # transition_matrix builds only the degree-d family elements; filtering
     # the whole families by degree must give the same rows, columns and matrices
     n = sum(mu)
-    q = graded_quotient(build_ideal("Rmu", mu=mu))
+    q = graded_quotient("Rmu", mu=mu)
     full_rows = build_basis_family("Bmu", mu=mu)
     full_cols = gp_recursion_family(mu)
     for d in range(len(q.hilbert) + 1):
@@ -932,7 +944,7 @@ def test_hilbert_against_sympy_groebner():
 
     xs = sympy.symbols("x1:6")
     rn = [elem(r, xs) for r in range(1, 6)]
-    assert groebner_hilbert(rn, xs) == graded_quotient(build_ideal("Rn", n=5)).hilbert
+    assert groebner_hilbert(rn, xs) == graded_quotient("Rn", n=5).hilbert
     for mu in ((2, 2, 1, 1), (3, 1, 1, 1)):
         # Tanisaki generators: e_r(S) for |S| = k and r > k - (sum of the
         # last k parts of the conjugate of mu, padded with zeros to length n)
@@ -945,7 +957,7 @@ def test_hilbert_against_sympy_groebner():
             for subset in combinations(xs, k)
             for r in range(max(1, k - sum(conj[n - k :]) + 1), k + 1)
         ]
-        expected = graded_quotient(build_ideal("Rmu", mu=mu)).hilbert
+        expected = graded_quotient("Rmu", mu=mu).hilbert
         assert groebner_hilbert(gens, xs) == expected, mu
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import bijective_fillings
 from spechtpoly import specht, tableaux
-from spechtpoly.families import FAMILIES
+from spechtpoly.families import FAMILIES, _bounded_tuples
 from spechtpoly.perms import all_permutations
 from spechtpoly.polyring import QQ, Poly, elementary, extend_variables, permute_variables
 from spechtpoly.quotient import gp_recursion_family
@@ -334,6 +334,15 @@ def test_recipes_pair_each_s_with_every_standard_t(ring):
             assert plan, (ring, params)
             for s, fillings, _, _ in plan:
                 assert fillings == standard_tableaux(s.shape), (ring, params, s)
+
+
+def test_bounded_tuples_are_the_bounded_product_in_order():
+    for length in range(5):
+        for bound in range(-1, 6):
+            expected = [
+                t for t in itertools.product(range(max(bound, 0)), repeat=length) if sum(t) < bound
+            ]
+            assert list(_bounded_tuples(length, bound)) == expected, (length, bound)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from spechtpoly.perms import conjugacy_class_size
-from spechtpoly.quotient import build_ideal, graded_quotient
+from spechtpoly.quotient import GradedQuotient, build_ideal, graded_quotient
 from spechtpoly.symfunc import (
     GradedSchurExpansion,
     character_table,
@@ -151,7 +151,7 @@ def test_expansion_str_powers():
 
 
 def test_frobenius_r3_frozen():
-    g = graded_frobenius(graded_quotient(build_ideal("Rn", n=3)))
+    g = graded_frobenius(graded_quotient("Rn", n=3))
     assert g.coeffs == {
         (0, (3,)): 1,
         (1, (2, 1)): 1,
@@ -166,7 +166,7 @@ def test_frobenius_degree_zero_is_trivial_rep():
         build_ideal("Rnk", n=4, k=2),
         build_ideal("Rmu", mu=(2, 1)),
     ):
-        g = graded_frobenius(graded_quotient(spec))
+        g = graded_frobenius(GradedQuotient(spec))
         n = spec.nvars
         assert g.coeffs[(0, (n,))] == 1
 
@@ -177,7 +177,7 @@ def test_frobenius_hilbert_matches_quotient():
         build_ideal("Rnks", n=3, k=2, s=1),
         build_ideal("Rmu", mu=(2, 2)),
     ):
-        q = graded_quotient(spec)
+        q = GradedQuotient(spec)
         assert graded_frobenius(q).hilbert() == q.hilbert
 
 
@@ -197,14 +197,14 @@ def test_hall_littlewood_matches_quotient_frobenius():
     for n in range(1, 6):
         for mu in partitions(n):
             a = hall_littlewood_cocharge(mu)
-            b = graded_frobenius(graded_quotient(build_ideal("Rmu", mu=mu)))
+            b = graded_frobenius(graded_quotient("Rmu", mu=mu))
             assert a.coeffs == b.coeffs, mu
 
 
 def test_formula_rnk_matches_quotient():
     for n in range(1, 5):
         for k in range(1, n + 1):
-            a = graded_frobenius(graded_quotient(build_ideal("Rnk", n=n, k=k)))
+            a = graded_frobenius(graded_quotient("Rnk", n=n, k=k))
             b = grfrob_formula_rnk(n, k)
             assert a.coeffs == b.coeffs, (n, k)
 
@@ -231,7 +231,7 @@ def test_formula_rnkmu_matches_quotient():
             for mu in partitions(m):
                 for k in range(max(1, len(mu)), n + 1):
                     a = graded_frobenius(
-                        graded_quotient(build_ideal("Rnkmu", n=n, k=k, mu=mu))
+                        graded_quotient("Rnkmu", n=n, k=k, mu=mu)
                     )
                     b = grfrob_formula_rnkmu(n, k, mu)
                     assert a.coeffs == b.coeffs, (n, k, mu)
@@ -279,7 +279,7 @@ def test_formula_rnkmu_validation():
 
 
 def test_irreducible_block_check_r3():
-    q = graded_quotient(build_ideal("Rn", n=3))
+    q = graded_quotient("Rn", n=3)
     res = irreducible_block_check(parse_tableau("1 1/2"), q)
     assert res["ok"] is True
     assert res["shape"] == [2, 1]
@@ -293,7 +293,7 @@ def test_irreducible_block_check_all_bmu_blocks():
     from spechtpoly.specht import build_basis_family
 
     for mu in partitions(4):
-        q = graded_quotient(build_ideal("Rmu", mu=mu))
+        q = graded_quotient("Rmu", mu=mu)
         seen = set()
         for be in build_basis_family("Bmu", mu=mu):
             key = be.s.rows
@@ -305,6 +305,6 @@ def test_irreducible_block_check_all_bmu_blocks():
 
 
 def test_irreducible_block_check_size_mismatch():
-    q = graded_quotient(build_ideal("Rn", n=3))
+    q = graded_quotient("Rn", n=3)
     with pytest.raises(ValueError):
         irreducible_block_check(parse_tableau("1 1 1 2/2"), q)
