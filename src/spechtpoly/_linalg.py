@@ -151,9 +151,9 @@ def solve_in_span(columns: Matrix, targets: Matrix) -> list[Vector] | None:
     one coefficient vector per target (aligned with ``columns``), or None
     when some target lies outside the span.  The rows of [columns |
     targets] go through one ``Echelon``; the coefficient of column p in
-    target t is ``tail[p][t] / lead[p]``, entry p of ``null_vector(t)``
-    negated.  The reduced row echelon form is unique, so this equals
-    elimination over Q.
+    target t is ``tail[p][t] / lead[p]`` at a pivot p and 0 elsewhere.
+    The reduced row echelon form is unique, so this equals elimination
+    over Q.
     """
     ncols = len(columns)
     vectors = list(columns) + list(targets)
@@ -166,10 +166,15 @@ def solve_in_span(columns: Matrix, targets: Matrix) -> list[Vector] | None:
     # any pivot inside the target block means that target is independent
     if any(p >= ncols for p in ech.lead):
         return None
-    return [
-        [-x for x in ech.null_vector(t, len(vectors))[:ncols]]
-        for t in range(ncols, len(vectors))
-    ]
+    out = []
+    for t in range(ncols, len(vectors)):
+        coeffs = [_ZERO] * ncols
+        for p, tail in ech.tail.items():
+            v = tail.get(t)
+            if v:
+                coeffs[p] = QQ(v, ech.lead[p])
+        out.append(coeffs)
+    return out
 
 
 # The word-size prime of the rank certificate (Dumas, Giorgi & Pernet 2008).

@@ -26,7 +26,6 @@ from .tableaux import (
     descent_stats,
     partitions,
     semistandard_descents,
-    semistandard_tableaux,
 )
 
 
@@ -36,8 +35,9 @@ class Family:
 
     The callables take the checked parameters as keyword arguments:
     ``valid`` is the range check (``rule`` says it in words); ``ideal``
-    returns (nvars, generators, degree cap); ``recipe`` returns the S of
-    the basis (lazily), the variable count and the rule giving the
+    returns (nvars, generators, degree cap); ``recipe`` returns the content
+    of the basis's S (every semistandard S of that content, the standard S
+    of size n for (1^n)), the variable count and the rule giving the
     e-exponent tuples of an S; ``sweep`` lists the JSON-safe params of
     every case for one n; ``formula`` gives Griffin's (n, k, mu);
     ``dimension`` gives the dimension of the ring.
@@ -49,7 +49,7 @@ class Family:
     valid: Callable[..., bool]
     rule: str
     ideal: Callable[..., tuple[int, list[Poly], int]]
-    recipe: Callable[..., tuple[Iterable, int, Callable]]
+    recipe: Callable[..., tuple[Partition, int, Callable]]
     sweep: Callable[[int], Iterable[dict]]
     formula: Callable[..., tuple[int, int, Partition]] | None
     dimension: Callable[..., int]
@@ -142,15 +142,9 @@ def _bounded_tuples(length: int, bound: int) -> Iterable[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _content_s(mu: Partition):
-    """Every semistandard S of content mu; the standard S of size n for mu = (1^n)."""
-    for shape in partitions(sum(mu)):
-        yield from semistandard_tableaux(shape, mu)
-
-
 def _recipe_bnks(n, k, s):
     """Standard S times e_1..e_{n-s} monomials with exponent sum below k - des(S)."""
-    return _content_s((1,) * n), n, lambda S: _bounded_tuples(n - s, k - descent_stats(S).des)
+    return (1,) * n, n, lambda S: _bounded_tuples(n - s, k - descent_stats(S).des)
 
 
 def _recipe_bnkmu(n, k, mu):
@@ -159,7 +153,7 @@ def _recipe_bnkmu(n, k, mu):
         raise ValueError("this family is defined for the single-part mu = (n-1)")
     if k > n:
         raise ValueError("need 1 <= k <= n")
-    return _content_s((n - 1, 1)), n, lambda S: [(i,) for i in range(k - semistandard_descents(S))]
+    return (n - 1, 1), n, lambda S: [(i,) for i in range(k - semistandard_descents(S))]
 
 
 # -- the table ---------------------------------------------------------------
@@ -172,7 +166,7 @@ FAMILIES = {
             "Rn", "Bn", ("n",),
             lambda n: n >= 0, "need n >= 0",
             lambda n: (n, [elementary(r, n) for r in range(1, n + 1)], comb(n, 2) + 1),
-            lambda n: (_content_s((1,) * n), n, lambda S: [()]),
+            lambda n: ((1,) * n, n, lambda S: [()]),
             lambda n: [{"n": n}],
             lambda n: (n, n, (1,) * n),
             lambda n: factorial(n),
@@ -200,7 +194,7 @@ FAMILIES = {
             # mu = () is valid: its basis {1} is the child family gp_recursion_family needs
             lambda mu: True, "",
             _ideal_rmu,
-            lambda mu: (_content_s(mu), sum(mu), lambda S: [()]),
+            lambda mu: (mu, sum(mu), lambda S: [()]),
             lambda n: [{"mu": list(mu)} for mu in partitions(n)],
             lambda mu: (sum(mu), len(mu), mu),
             lambda mu: factorial(sum(mu)) // prod(map(factorial, mu)),

@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import perms
@@ -32,7 +34,9 @@ from .tableaux import (
     cocharge_labels,
     format_tableau,
     last_letter_key,
+    partitions,
     reading_word,
+    semistandard_tableaux,
     standard_tableaux,
 )
 
@@ -47,25 +51,26 @@ def column_group(t: Tableau) -> list[tuple[int, ...]]:
     return [tuple(row) for row in t.transpose().rows]
 
 
-@lru_cache(maxsize=256)
-def _symmetric_group(
-    entries: tuple[int, ...], n: int, signed: bool
-) -> list[tuple[perms.Relabeller, bool]]:
-    """(relabel, negate) for every permutation sigma of the variables x_e, e in entries.
+def _arrangements(values: tuple[int, ...]) -> list[tuple[tuple[int, ...], bool]]:
+    """The distinct rearrangements of a sorted tuple, in lexicographic order,
+    each with whether it is odd.
 
-    relabel is ``perms.relabeller(sigma)``, sigma fixing every variable
-    outside entries; negate is sign(sigma) < 0 when signed.  Keyed by the
-    sorted entries, so every tableau with that row or column shares one
-    list: the row and column groups of a T are built once, not once per
-    F_T^S.  The cache is bounded; a transition session over
-    partitions of 6 and 7 uses under 200 entries.
+    For distinct values, odd is the sign of the permutation taking values
+    to the rearrangement: a rearrangement that starts with the value at
+    index i passes the i smaller values before it.  Repeated values meet
+    only the unsigned row sum, and get False.
     """
+    if len(set(values)) == len(values):
+        odd = [False]  # the parities of the lexicographic permutations, built up by length
+        for m in range(2, len(values) + 1):
+            flipped = [not o for o in odd]
+            odd = [o for i in range(m) for o in (flipped if i % 2 else odd)]
+        return list(zip(itertools.permutations(values), odd))
     out = []
-    for image in itertools.permutations(entries):
-        sigma = list(range(n))
-        for a, b in zip(entries, image):
-            sigma[a - 1] = b - 1
-        out.append((perms.relabeller(sigma), signed and perms.sign(sigma) < 0))
+    for i, v in enumerate(values):
+        if i == 0 or values[i - 1] != v:
+            rests = _arrangements(values[:i] + values[i + 1 :])
+            out += [((v,) + rest, False) for rest, _ in rests]
     return out
 
 
@@ -75,25 +80,69 @@ def _signed_orbit_sum(
     """The sum of sigma(terms), times sign(sigma) when signed, over a product of groups.
 
     Each group is the symmetric group of one set of entries; the sets are
-    disjoint, so the groups commute and the sum over their product is the
-    composite of the sums over each group.  Integer coefficients, each sum
-    accumulated in place in one dict.
+    disjoint, so the orbit of a monomial is every choice of one
+    rearrangement of its exponents within each set.  The sum is taken by
+    orbits.  Every term first moves to its representative, its exponents
+    sorted within each set; when signed it brings the sign of that move,
+    and it drops out when two exponents of one set agree, since a
+    transposition then fixes it with sign -1.  Each representative with a
+    nonzero total is then expanded once over its distinct rearrangements,
+    times the order of its stabilizer: the product over the sets of k!
+    over the number of rearrangements, which is the product of the
+    factorials of the exponent multiplicities, and 1 when signed.
+    Distinct representatives have disjoint orbits, so every output term
+    is made once.  Integer coefficients.
     """
-    for entries in groups:
-        if len(entries) < 2:
+    groups = [sorted(e - 1 for e in entries) for entries in groups if len(entries) > 1]
+    if not groups:
+        return terms
+    # a term is read in one layout: the exponents outside every group, then each group's
+    moved = [i for g in groups for i in g]
+    order = sorted(set(range(n)).difference(moved)) + moved
+    gather, place = itemgetter(*order), perms.relabeller(order)  # n >= 2: a group has 2 entries
+    head = n - len(moved)
+    bounds, a = [], head  # each group's slice of the layout
+    for g in groups:
+        bounds.append((a, a + len(g)))
+        a += len(g)
+    reps: dict[tuple[int, ...], int] = {}
+    for exp, c in terms.items():
+        flat = gather(exp)
+        rep = list(flat[:head])
+        odd = False
+        for a, b in bounds:
+            values = flat[a:b]
+            if signed:
+                if len(set(values)) < b - a:
+                    break
+                for x, y in itertools.combinations(values, 2):
+                    odd ^= x > y
+            rep += sorted(values)
+        else:
+            key = tuple(rep)
+            reps[key] = reps.get(key, 0) + (-c if odd else c)
+    orbits: dict[tuple[int, ...], tuple[list, int]] = {}  # rearrangements, stabilizer order
+    out: dict[Exponent, int] = {}
+    for rep, c in reps.items():
+        if not c:
             continue
-        out: dict[Exponent, int] = {}
-        get = out.get
-        for relabel, negate in _symmetric_group(tuple(sorted(entries)), n, signed):
-            for exp, c in terms.items():
-                key = relabel(exp)
-                v = get(key, 0) - c if negate else get(key, 0) + c
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
-        terms = out
-    return terms
+        choices = []
+        for a, b in bounds:
+            values = rep[a:b]
+            if values not in orbits:
+                arrangements = _arrangements(values)
+                orbits[values] = (arrangements, factorial(b - a) // len(arrangements))
+            arrangements, stabilizer = orbits[values]
+            choices.append(arrangements)
+            c *= stabilizer
+        fixed = rep[:head]
+        for choice in itertools.product(*choices):
+            flat, odd = fixed, False
+            for values, o in choice:
+                flat += values
+                odd ^= o
+            out[place(flat)] = -c if signed and odd else c
+    return out
 
 
 def _rational_poly(n: int, terms: dict[Exponent, int], scale: int) -> Poly:
@@ -137,7 +186,7 @@ def specht_classical(t: Tableau) -> Poly:
 
 
 def _check_pair(s: Tableau, t: Tableau) -> None:
-    if t.size > MAX_NVARS:  # a symmetrizer runs over lambda_1! relabellings of a row
+    if t.size > MAX_NVARS:  # F_T^S can have n! terms: on one column it is the Vandermonde
         raise ValueError(f"T has {t.size} cells; the size cap is {MAX_NVARS}")
     if s.shape != t.shape:
         raise ValueError(
@@ -357,37 +406,51 @@ def _efactor(exponents: Sequence[int], n: int) -> Poly:
     return out
 
 
+@lru_cache(maxsize=None)
+def _content_plan(content: tuple[int, ...]) -> tuple[tuple, ...]:
+    """(S, the standard T of its shape, cocharge of S) for every semistandard S of
+    the content, in ``_s_sort_key`` order; the standard S of size n for (1^n).
+
+    The S side of every plan of that content, built once per process: it
+    holds tableaux and ints only, as ``tableaux`` caches them too.
+    """
+    s_tableaux = [
+        s for shape in partitions(sum(content)) for s in semistandard_tableaux(shape, content)
+    ]
+    return tuple(
+        (s, tuple(standard_tableaux(s.shape)), cocharge_labels(reading_word(s)).cocharge)
+        for s in sorted(s_tableaux, key=_s_sort_key)
+    )
+
+
 def family_plan(kind: str, **params) -> tuple[int, list[tuple]]:
     """The variable count of a basis family (see ``families``) and its plan.
 
     The plan lists (S, fillings, cocharge of S, [(exponents, degree)])
-    for every S of the recipe that has an element; the fillings are
-    every standard T of S's shape, and the element (S, T, a) is F_T^S
-    e_1^a1 e_2^a2 ... for T in fillings, of degree the cocharge plus the
-    weight of the exponents, so every degree is known before a
+    for every S of the recipe's content that has an element; the
+    fillings are every standard T of S's shape, and the element (S, T, a)
+    is F_T^S e_1^a1 e_2^a2 ... for T in fillings, of degree the cocharge
+    plus the weight of the exponents, so every degree is known before a
     polynomial is built.  The S come in ``_s_sort_key`` order, the
     fillings in last letter order and each S's exponents in
     lexicographic order.  Every recipe's exponent set is closed under
     lowering an entry, so a - delta_j comes before a for every a_j > 0.
-    ValueError, before any tableau is enumerated, above MAX_NVARS variables.
+    The S side is ``_content_plan``'s, shared by every plan of a content;
+    the lists are fresh.  ValueError, before any tableau is enumerated,
+    above MAX_NVARS variables.
     """
     row = lookup(BASES, kind)
-    s_tableaux, n, exponent_tuples = row.recipe(**row.check(params))
+    content, n, exponent_tuples = row.recipe(**row.check(params))
     if n > MAX_NVARS:
         raise ValueError(f"{kind} {params} is too large; the size cap is n <= {MAX_NVARS}")
     plan = []
-    fillings: dict[tuple[int, ...], list[Tableau]] = {}  # one list per shape
-    for s in sorted(s_tableaux, key=_s_sort_key):
-        cc = cocharge_labels(reading_word(s)).cocharge
+    for s, fillings, cc in _content_plan(content):
         degrees = [
             (exps, cc + sum(j * e for j, e in enumerate(exps, start=1)))
             for exps in sorted(exponent_tuples(s))
         ]
         if degrees:
-            shape = s.shape
-            if shape not in fillings:
-                fillings[shape] = standard_tableaux(shape)
-            plan.append((s, fillings[shape], cc, degrees))
+            plan.append((s, list(fillings), cc, degrees))
     return n, plan
 
 

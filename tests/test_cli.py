@@ -564,8 +564,20 @@ def test_specht_eval_shape_mismatch(capsys):
     assert "shape mismatch" in captured.err
 
 
+def test_specht_eval_evaluates_the_largest_row_the_cap_admits(capsys):
+    # the row sum of 1 1 ... 1 is one orbit of 10! relabellings: one term
+    s, t = " ".join(["1"] * 10), " ".join(map(str, range(1, 11)))
+    start = time.perf_counter()
+    code, report = run_json(capsys, ["specht-eval", "--s", s, "--t", t])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert report["terms"] == [{"exponent": [0] * 10, "coeff": "3628800"}]
+    check_schema(report)
+    assert elapsed < 2
+
+
 def test_specht_eval_rejects_a_tableau_above_the_size_cap(capsys, monkeypatch):
-    # one row of 11 cells would sum over 11! relabellings, about 9 GB
+    # rejected by the cap, whatever its cost: an 11-cell column would give 11! terms
     def symmetrized(*args, **kwargs):
         raise AssertionError("the symmetrizer ran")
 

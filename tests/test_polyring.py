@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -214,20 +215,40 @@ def test_relabeller_agrees_with_permute_variables(rng):
                 assert type(relabel(e)) is tuple
 
 
-def test_symmetric_group_signs_are_perm_signs():
-    from spechtpoly.specht import _symmetric_group
+def test_signed_orbit_sum_matches_the_sum_over_every_permutation(rng):
+    from spechtpoly.specht import _signed_orbit_sum
 
-    n, entries = 5, (2, 4, 5)
-    seen = set()
-    for relabel, negate in _symmetric_group(entries, n, True):
-        # relabel of (0, ..., n-1) is sigma^-1; rebuild sigma from it
-        inverse = relabel(tuple(range(n)))
-        sigma = tuple(inverse.index(i) for i in range(n))
-        assert all(sigma[i] == i for i in range(n) if i + 1 not in entries)
-        assert negate == (sign(sigma) < 0)
-        seen.add(sigma)
-    assert len(seen) == 6
-    assert not any(negate for _, negate in _symmetric_group(entries, n, False))
+    n = 6
+    for groups in (
+        [(2, 4, 5)],
+        [(1, 2, 3), (4, 6)],
+        [(6, 1), (3,), (5, 2, 4)],
+        [(1, 2, 3, 4, 5, 6)],
+    ):
+        for signed in (False, True):
+            for _ in range(12):
+                terms: dict = {}
+                for _ in range(rng.randrange(1, 6)):
+                    exp = tuple(rng.randrange(3) for _ in range(n))  # exponents repeat
+                    terms[exp] = terms.get(exp, 0) + rng.choice((-3, -1, 1, 2, 5))
+                terms = {e: c for e, c in terms.items() if c}
+                want: dict = {}
+                for images in itertools.product(*(itertools.permutations(g) for g in groups)):
+                    sigma = list(range(n))
+                    for g, image in zip(groups, images):
+                        for a, b in zip(g, image):
+                            sigma[a - 1] = b - 1
+                    negate = signed and sign(sigma) < 0
+                    for exp, c in terms.items():
+                        moved = [0] * n
+                        for i, e in enumerate(exp):
+                            moved[sigma[i]] = e  # x_i -> x_sigma(i)
+                        key = tuple(moved)
+                        want[key] = want.get(key, 0) + (-c if negate else c)
+                want = {e: c for e, c in want.items() if c}
+                got = _signed_orbit_sum(dict(terms), groups, n, signed)
+                assert got == want, (groups, signed, terms)
+                assert all(type(c) is int and c for c in got.values())
 
 
 def test_extend_variables():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import itertools
 from math import factorial
 
@@ -153,6 +154,19 @@ def test_symmetrizer_matches_naive_on_every_pair_up_to_n4():
                     assert has_exact_coefficients(got)
 
 
+def test_symmetrizer_matches_naive_at_the_first_t_for_n5_and_short_shapes_of_n6():
+    # past n = 4 rows repeat labels: (6) has the stabilizer 6! on S = 1 1 1 1 1 1
+    shapes = list(partitions(5)) + [lam for lam in partitions(6) if len(lam) <= 2]
+    for lam in shapes:
+        t = standard_tableaux(lam)[0]
+        for nu in partitions(sum(lam)):
+            for s in enumerate_tableaux(lam, nu):
+                p = tagged_monomial(s, t)
+                got = apply_symmetrizer(t, p)
+                assert got == naive_symmetrizer(t, p), (s.rows, t.rows)
+                assert has_exact_coefficients(got)
+
+
 def test_tagged_monomial_frozen():
     s = parse_tableau("1 2 5/3 4 6/7")
     t = parse_tableau("1 3 6/2 4 7/5")
@@ -265,7 +279,7 @@ def all_garnir_moves(shape):
 
 
 def test_garnir_annihilation_exhaustive_small():
-    for n in range(2, 5):
+    for n in range(2, 6):
         for lam in partitions(n):
             if len(lam) == 1:
                 continue
@@ -325,8 +339,8 @@ def test_degree_restricted_family_is_its_degree_slice(kind, params):
 
 @pytest.mark.parametrize("ring", sorted(FAMILIES))
 def test_recipes_pair_each_s_with_every_standard_t(ring):
-    # the recipes list S only; family_plan pairs each with every standard T of its
-    # shape, which the isotypic certificate of quotient.verify_family rests on
+    # the recipes name a content only; family_plan pairs each S with every standard T of
+    # its shape, which the isotypic certificate of quotient.verify_family rests on
     row = FAMILIES[ring]
     for n in range(1, 6):
         for params in row.sweep(n):
@@ -365,6 +379,29 @@ def test_family_plan_caps_n_before_any_tableau(monkeypatch):
     monkeypatch.setattr(tableaux, "enumerate_tableaux", enumerated)
     with pytest.raises(ValueError, match="the size cap is n <= 10"):
         family_plan("Bmu", mu=(11,))
+
+
+def test_family_plan_builds_the_s_side_once_per_content(monkeypatch):
+    calls = []
+    real = specht.cocharge_labels
+
+    def counted(word):
+        calls.append(word)
+        return real(word)
+
+    monkeypatch.setattr(specht, "cocharge_labels", counted)
+    specht._content_plan.cache_clear()
+    family_plan("Bn", n=5)
+    assert len(calls) == sum(standard_count(lam) for lam in partitions(5))  # every standard S
+    calls.clear()
+    n, plan = family_plan("Bnk", n=5, k=3)  # content (1^5) again
+    assert calls == []
+    want = copy.deepcopy(plan)
+    for _, fillings, _, degrees in plan:
+        fillings.reverse()
+        degrees.clear()
+    plan.clear()
+    assert family_plan("Bnk", n=5, k=3) == (n, want)
 
 
 def test_family_plan_lists_the_full_family_at_the_first_t():
