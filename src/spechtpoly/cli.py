@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 from functools import lru_cache
 
 from . import __version__
@@ -178,6 +177,8 @@ def _run_case(case: dict) -> dict:
         quotient = GradedQuotient(build_ideal(case["family"], **case["params"]))
         body = verify_family(quotient, case["family"], case["params"])
     except Exception as exc:
+        import traceback  # only a failing case needs it
+
         print(f"sweep case {case['family']} {case['params']} raised:", file=sys.stderr)
         traceback.print_exc()
         return {

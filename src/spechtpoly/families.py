@@ -14,9 +14,8 @@ or None where no closed formula is known (R_{n,k,s}).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb, factorial, prod
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .polyring import Poly, elementary
 from .tableaux import (
@@ -29,8 +28,7 @@ from .tableaux import (
 )
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One ring, its basis family, and everything that tells them apart.
 
     The callables take the checked parameters as keyword arguments:

@@ -16,10 +16,9 @@ when it is first read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import groupby
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ._linalg import Echelon, _integral_row, _sparse, dependent_rows, solve_in_span
 from .polyring import (
@@ -38,8 +37,7 @@ from .tableaux import Partition, check_partition, mu_child
 # -- ideal construction ------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class IdealSpec:
+class IdealSpec(NamedTuple):
     """A homogeneous ideal presented by generators, plus bookkeeping."""
 
     nvars: int
@@ -95,15 +93,26 @@ def _add_row(acc: dict, row: dict, coeff, keys: Sequence | None = None) -> None:
             del acc[k]
 
 
-@dataclass
 class _DegreeData:
-    free: list[Exponent]
-    free_index: dict[Exponent, int]
-    vlist: list[Exponent]  # V = {x_i * f : f free one degree lower}, sorted
-    red: dict[Exponent, dict[int, object]]  # monomial -> {free slot: coeff}; V eagerly
-    times: list[list[dict[int, object]]]  # times[i][slot]: the row of x_i * prev.free[slot]
-    prev: _DegreeData | None = None
-    integral: bool = True  # every coefficient of this degree and below is an int
+    __slots__ = ("free", "free_index", "vlist", "red", "times", "prev", "integral")
+
+    def __init__(
+        self,
+        free: list[Exponent],
+        free_index: dict[Exponent, int],
+        vlist: list[Exponent],  # V = {x_i * f : f free one degree lower}, sorted
+        red: dict[Exponent, dict[int, object]],  # monomial -> {free slot: coeff}; V eagerly
+        times: list[list[dict[int, object]]],  # times[i][slot]: the row of x_i * prev.free[slot]
+        prev: _DegreeData | None = None,
+        integral: bool = True,  # every coefficient of this degree and below is an int
+    ):
+        self.free = free
+        self.free_index = free_index
+        self.vlist = vlist
+        self.red = red
+        self.times = times
+        self.prev = prev
+        self.integral = integral
 
     def shift(self, vec: dict[int, object], i: int) -> dict[int, object]:
         """Coordinates of x_i times a vector over the previous degree's free set."""
@@ -582,7 +591,7 @@ def verify_family(quotient: GradedQuotient, family_name: str, params: dict) -> d
             for t in fillings:
                 for i, (be, _, _) in group:
                     if i in dependent:
-                        failures.append((pos, replace(be, t=t)))
+                        failures.append((pos, be._replace(t=t)))
                     pos += 1
         return counts[d], failures
 
@@ -628,8 +637,7 @@ def _row_sort_key(be: BasisElement, n: int):
     return (r_n, -len(lamhat), tuple(-p for p in lamhat))
 
 
-@dataclass
-class TransitionResult:
+class TransitionResult(NamedTuple):
     matrix: list[list]
     rows: list[BasisElement]
     cols: list[BasisElement]

@@ -11,11 +11,10 @@ of S at that cell.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import perms
 from ._linalg import solve_in_span
@@ -32,6 +31,7 @@ from .tableaux import (
     Tableau,
     cocharge_label_tableau,
     cocharge_labels,
+    conjugate,
     format_tableau,
     last_letter_key,
     partitions,
@@ -152,18 +152,39 @@ def _rational_poly(n: int, terms: dict[Exponent, int], scale: int) -> Poly:
     return Poly._raw(n, {e: exact_quotient(c, scale) for e, c in terms.items()})
 
 
+def symmetrizer_bound(t: Tableau, terms: Iterable[Exponent]) -> int:
+    """A bound on the terms the Young symmetrizer of T makes from these exponents.
+
+    Per term: its distinct rearrangements within each row of T, times
+    (column length)! for each column.  Read off the exponents alone.
+    """
+    columns = prod(map(factorial, conjugate(t.shape)))
+    total = 0
+    for exp in terms:
+        orbit = columns
+        for row in t.rows:
+            values = [exp[e - 1] for e in row]
+            orbit *= factorial(len(values)) // prod(factorial(values.count(v)) for v in set(values))
+        total += orbit
+    return total
+
+
 def apply_symmetrizer(t: Tableau, p: Poly) -> Poly:
     """Apply the (unnormalized) Young symmetrizer of T.
 
     First sum over the row group, then the signed sum over the column
     group.  Scalars are kept as-is, so results carry factorial factors.
     Both sums run over the integer multiple of p with its denominators
-    cleared.
+    cleared.  ValueError, before anything is expanded, when
+    ``symmetrizer_bound`` exceeds MAX_DIMENSION.
     """
     if not t.is_bijective():
         raise ValueError("symmetrizer needs a bijective filling")
     if t.size > p.nvars:
         raise ValueError("polynomial has too few variables for this tableau")
+    bound = symmetrizer_bound(t, p.terms)
+    if bound > MAX_DIMENSION:
+        raise ValueError(f"T's symmetrizer can make {bound} terms; the size cap is {MAX_DIMENSION}")
     n = p.nvars
     terms, scale = clear_denominators(p.terms)
     rowed = _signed_orbit_sum(terms, row_group(t), n, signed=False)
@@ -358,8 +379,7 @@ def _expand(basis: list[Poly], targets: list[Poly]) -> list[tuple]:
 # -- basis families ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(NamedTuple):
     """One spanning-set element: a polynomial plus the data that names it."""
 
     poly: Poly

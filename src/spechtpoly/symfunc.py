@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, factorial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ._linalg import dependent_rows
 from .perms import conjugacy_class_size, from_cycle_type, relabeller
@@ -56,8 +55,7 @@ def _mn_char(lam: Partition, rho: Partition) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     n: int
     shapes: tuple[Partition, ...]
     classes: tuple[Partition, ...]
@@ -84,12 +82,22 @@ def character_table(n: int) -> CharacterTable:
 # -- graded Schur expansions --------------------------------------------------
 
 
-@dataclass
 class GradedSchurExpansion:
     """Nonnegative integer combination of Schur functions with a q-grading."""
 
-    n: int
-    coeffs: dict[tuple[int, Partition], int] = field(default_factory=dict)
+    __slots__ = ("n", "coeffs")
+
+    def __init__(self, n: int, coeffs: dict[tuple[int, Partition], int] | None = None):
+        self.n = n
+        self.coeffs = {} if coeffs is None else coeffs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.coeffs) == (other.n, other.coeffs)
+
+    def __repr__(self) -> str:
+        return f"GradedSchurExpansion(n={self.n!r}, coeffs={self.coeffs!r})"
 
     def add_term(self, d: int, shape: Partition, c: int) -> None:
         if not c:

@@ -12,10 +12,9 @@ separated by spaces ("1 3 6/2 4 7/5").
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Partition = tuple[int, ...]
 Word = tuple[int, ...]
@@ -121,20 +120,23 @@ def mu_child(mu: Sequence[int], i: int) -> Partition:
 # -- tableaux ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Tableau:
-    """A filling of a Young diagram; rows are listed bottom to top."""
-
+class _TableauRows(NamedTuple):
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        rows = tuple(tuple(int(e) for e in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
+
+class Tableau(_TableauRows):
+    """A filling of a Young diagram; rows are listed bottom to top."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: Iterable[Iterable[int]]) -> "Tableau":
+        rows = tuple(tuple(int(e) for e in row) for row in rows)
         shape = tuple(len(row) for row in rows)
         if shape and not is_partition(shape):
             raise ValueError(f"row lengths {shape} do not form a partition")
         if any(e <= 0 for row in rows for e in row):
             raise ValueError("entries must be positive integers")
+        return super().__new__(cls, rows)
 
     @property
     def shape(self) -> Partition:
@@ -278,8 +280,7 @@ def enumerate_tableaux(
 # -- cocharge ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CochargeLabeling:
+class CochargeLabeling(NamedTuple):
     """Per-position labels of a word plus the standard subword each position joined.
 
     ``labels[p]`` and ``subword_index[p]`` describe position p (0-based);
@@ -379,8 +380,7 @@ def semistandard_descents(t: Tableau) -> int:
     return max(cocharge_labels(word).labels)
 
 
-@dataclass(frozen=True)
-class DescentStats:
+class DescentStats(NamedTuple):
     descents: tuple[int, ...]
     des: int
     maj: int

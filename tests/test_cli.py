@@ -9,7 +9,6 @@ import shutil
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -137,7 +136,7 @@ def test_too_large_input_is_rejected_before_any_build(capsys, monkeypatch, ring,
     def built(*args, **kwargs):
         raise AssertionError("a generator or a family was built")
 
-    monkeypatch.setitem(FAMILIES, ring, replace(FAMILIES[ring], ideal=built))
+    monkeypatch.setitem(FAMILIES, ring, FAMILIES[ring]._replace(ideal=built))
     monkeypatch.setattr(quotient, "build_basis_family", built)
     code = main(argv)
     captured = capsys.readouterr()
@@ -501,7 +500,8 @@ def test_sweep_records_a_failing_case_and_goes_on(tmp_path, capsys):
     captured = capsys.readouterr()
     report = json.loads(captured.out)
     assert code == 1
-    assert "ValueError" in captured.err  # the case's traceback
+    assert "Traceback (most recent call last)" in captured.err  # the case's traceback
+    assert "ValueError" in captured.err
     assert report["total"] == 3 and report["passed"] == 2 and report["all_pass"] is False
     ok, bad, last = report["results"]
     assert ok["verdict"] is True and last["verdict"] is True
@@ -589,6 +589,23 @@ def test_specht_eval_rejects_a_tableau_above_the_size_cap(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == "error: T has 11 cells; the size cap is 10\n"
+    assert captured.out == ""
+    assert elapsed < 0.5
+
+
+def test_specht_eval_rejects_a_column_above_the_term_cap(capsys, monkeypatch):
+    # ten cells pass the cell cap, but a 10-cell column gives 10! terms
+    def expanded(*args, **kwargs):
+        raise AssertionError("the symmetrizer expanded a term")
+
+    monkeypatch.setattr(specht, "_signed_orbit_sum", expanded)
+    column = "/".join(str(e) for e in range(1, 11))
+    start = time.perf_counter()
+    code = main(["specht-eval", "--s", column, "--t", column])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: T's symmetrizer can make 3628800 terms; the size cap is 362880\n"
     assert captured.out == ""
     assert elapsed < 0.5
 
@@ -779,3 +796,25 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["hilbert"] == [1, 2, 2, 1]
+
+
+def test_importing_the_cli_generates_no_code_and_loads_no_error_path_module():
+    """dataclasses would pull in inspect, ast, dis and tokenize at start-up, and
+    traceback is only needed by a sweep case that raises."""
+    budget = ("dataclasses", "inspect", "ast", "dis", "tokenize", "traceback")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = f"import sys, spechtpoly.cli; print(*[m for m in {budget!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
+def test_registry_rows_are_immutable():
+    row = FAMILIES["Rn"]
+    with pytest.raises(AttributeError):
+        row.ring = "Rnk"
+    assert row._replace(rule="changed").rule == "changed" and row.rule == "need n >= 0"

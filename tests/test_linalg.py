@@ -12,8 +12,6 @@ the reference (and against sympy).
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -353,7 +351,7 @@ def test_verify_basis_ranks_match_exact_elimination(spec, family):
 def _as_rationals(be):
     """The element with every coefficient cast to QQ, bypassing the int-first rule."""
     terms = {e: QQ(c) for e, c in be.poly.terms.items()}
-    return dataclasses.replace(be, poly=Poly._raw(be.poly.nvars, terms))
+    return be._replace(poly=Poly._raw(be.poly.nvars, terms))
 
 
 @pytest.mark.parametrize(

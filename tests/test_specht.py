@@ -6,9 +6,9 @@ from math import factorial
 
 import pytest
 
-from conftest import bijective_fillings
+from conftest import bijective_fillings, requires_long
 from spechtpoly import specht, tableaux
-from spechtpoly.families import FAMILIES, _bounded_tuples
+from spechtpoly.families import FAMILIES, MAX_DIMENSION, MAX_NVARS, _bounded_tuples
 from spechtpoly.perms import all_permutations
 from spechtpoly.polyring import QQ, Poly, elementary, extend_variables, permute_variables
 from spechtpoly.quotient import gp_recursion_family
@@ -26,10 +26,12 @@ from spechtpoly.specht import (
     higher_specht_family,
     specht_classical,
     straighten,
+    symmetrizer_bound,
     tagged_monomial,
 )
 from spechtpoly.tableaux import (
     cocharge,
+    cocharge_label_tableau,
     enumerate_tableaux,
     last_letter_key,
     parse_tableau,
@@ -379,6 +381,61 @@ def test_family_plan_caps_n_before_any_tableau(monkeypatch):
     monkeypatch.setattr(tableaux, "enumerate_tableaux", enumerated)
     with pytest.raises(ValueError, match="the size cap is n <= 10"):
         family_plan("Bmu", mu=(11,))
+
+
+def test_symmetrizer_bound_bounds_the_terms():
+    for n in range(1, 6):
+        for lam in partitions(n):
+            for s in standard_tableaux(lam):
+                for t in standard_tableaux(lam):
+                    bound = symmetrizer_bound(t, tagged_monomial(s, t).terms)
+                    assert len(higher_specht(s, t).terms) <= bound
+    t = parse_tableau("1 2 3/4 5")
+    assert symmetrizer_bound(t, [(0, 0, 1, 0, 0)]) == 3 * 2 * 2
+    assert symmetrizer_bound(t, [(0, 0, 1, 0, 0), (1, 1, 1, 0, 2)]) == 12 + 1 * 2 * 4
+
+
+def test_symmetrizer_term_cap_admits_nine_cells_of_one_column_not_ten(monkeypatch):
+    calls = []
+
+    def summed(terms, *args, **kwargs):
+        calls.append(len(terms))
+        return terms
+
+    monkeypatch.setattr(specht, "_signed_orbit_sum", summed)
+    nine, ten = (parse_tableau("/".join(map(str, range(1, m + 1)))) for m in (9, 10))
+    assert symmetrizer_bound(nine, tagged_monomial(nine, nine).terms) == MAX_DIMENSION
+    higher_specht(nine, nine)  # the bound is the cap itself: admitted
+    assert calls == [1, 1]
+    with pytest.raises(ValueError, match="can make 3628800 terms; the size cap is 362880"):
+        higher_specht(ten, ten)
+    assert calls == [1, 1]
+
+
+def _plan_symmetrizer_bounds(max_n):
+    """(ring, params, S) and the symmetrizer bound of F_T0^S for every plan entry of
+    every basis over sweep(n), n <= max_n, whose ring passes build_ideal's size
+    guard.  Only exponents are read; no polynomial is built."""
+    for ring, row in FAMILIES.items():
+        for n in range(1, max_n + 1):
+            for params in row.sweep(n):
+                if n > MAX_NVARS or row.dimension(**row.check(params)) > MAX_DIMENSION:
+                    continue
+                for s, fillings, _, _ in family_plan(row.basis, **params)[1]:
+                    t0, exp = fillings[0], [0] * n
+                    for entries, labels in zip(t0.rows, cocharge_label_tableau(s)):
+                        for e, label in zip(entries, labels):
+                            exp[e - 1] = label
+                    yield (ring, params, str(s)), symmetrizer_bound(t0, [tuple(exp)])
+
+
+def test_no_family_reaches_the_symmetrizer_term_cap():
+    assert [key for key, bound in _plan_symmetrizer_bounds(8) if bound > MAX_DIMENSION] == []
+
+
+@requires_long
+def test_no_family_reaches_the_symmetrizer_term_cap_up_to_n10():
+    assert [key for key, bound in _plan_symmetrizer_bounds(10) if bound > MAX_DIMENSION] == []
 
 
 def test_family_plan_builds_the_s_side_once_per_content(monkeypatch):
@@ -750,6 +807,15 @@ def test_family_validation():
         build_basis_family("Bnkmu", n=4, k=2, mu=(2, 1))  # mu must be (n-1,)
     with pytest.raises(TypeError):
         build_basis_family("Bn", n=3, k=2)  # stray parameter
+
+
+def test_basis_elements_are_immutable():
+    be = build_basis_family("Bn", n=2)[-1]
+    with pytest.raises(AttributeError):
+        be.degree = 0
+    t = parse_tableau("2/1")
+    moved = be._replace(t=t)
+    assert moved.t == t and moved.poly == be.poly and be.t != t
 
 
 def test_family_bmu_sizes():

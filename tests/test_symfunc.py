@@ -141,6 +141,19 @@ def test_expansion_operations():
     assert str(GradedSchurExpansion(2)) == "0"
 
 
+def test_expansion_equality_and_repr():
+    e, f = GradedSchurExpansion(3), GradedSchurExpansion(3)
+    assert e == f and e != GradedSchurExpansion(4)
+    e.add_term(1, [2, 1], 2)
+    assert e != f and e != {(1, (2, 1)): 2}
+    f.add_term(1, (2, 1), 2)
+    assert e == f
+    assert repr(e) == "GradedSchurExpansion(n=3, coeffs={(1, (2, 1)): 2})"
+    assert GradedSchurExpansion(2).coeffs is not GradedSchurExpansion(2).coeffs
+    with pytest.raises(TypeError):
+        hash(e)  # mutable
+
+
 def test_expansion_str_powers():
     e = GradedSchurExpansion(2)
     e.add_term(3, (1, 1), 4)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -125,6 +126,28 @@ def test_tableau_validation():
     assert t.shape == (3, 3, 1)
     assert t.size == 7
     assert t.is_standard()
+
+
+def test_tableau_is_an_immutable_hashable_value():
+    t = Tableau([[1, 2, 5], [3, 4, 6], [7]])  # any iterables, normalised to int tuples
+    u = parse_tableau("1 2 5/3 4 6/7")
+    assert t.rows == ((1, 2, 5), (3, 4, 6), (7,))
+    assert t == u and hash(t) == hash(u)
+    assert repr(t) == "Tableau(rows=((1, 2, 5), (3, 4, 6), (7,)))"
+    with pytest.raises(AttributeError):
+        t.rows = ((1,),)
+    seen = []
+
+    @lru_cache(maxsize=None)
+    def shape_of(tab):
+        seen.append(tab)
+        return tab.shape
+
+    assert shape_of(t) == shape_of(u) == (3, 3, 1)
+    assert len(seen) == 1 and shape_of.cache_info().currsize == 1
+    for rows in ([[1], [2, 3]], [[1, -2]], [[0]]):
+        with pytest.raises(ValueError):
+            Tableau(rows)
 
 
 def test_parse_format_roundtrip():
